@@ -30,18 +30,21 @@ fn forest() -> RandomForest {
     RandomForestTrainer { n_trees: 4, ..Default::default() }.fit(&data, 1)
 }
 
+fn start_gateway() -> Gateway {
+    let config = GatewayConfig {
+        shards: 3,
+        serve: ServeConfig { workers: 1, ..Default::default() },
+        ..Default::default()
+    };
+    Gateway::start(config, forest(), 7).expect("start")
+}
+
 /// One shared fleet for every proptest case: the property is about the
-/// admission path, not about gateway construction.
+/// admission path, not about gateway construction. Only the proptest uses
+/// it, so no other test's requests land between its snapshots.
 fn gateway() -> &'static Gateway {
     static GATEWAY: OnceLock<Gateway> = OnceLock::new();
-    GATEWAY.get_or_init(|| {
-        let config = GatewayConfig {
-            shards: 3,
-            serve: ServeConfig { workers: 1, ..Default::default() },
-            ..Default::default()
-        };
-        Gateway::start(config, forest(), 7).expect("start")
-    })
+    GATEWAY.get_or_init(start_gateway)
 }
 
 fn priority_strategy() -> impl Strategy<Value = Priority> {
@@ -97,7 +100,7 @@ proptest! {
 
 #[test]
 fn gateway_counts_the_shed_and_stays_usable() {
-    let gateway = gateway();
+    let gateway = start_gateway();
     let shed_before = gateway.metrics().shed_deadline_total;
     let e = gateway
         .score(Request::new(vec![0.4, 0.6]).deadline(Instant::now() - Duration::from_secs(1)))

@@ -136,7 +136,7 @@ mod tests {
     fn clear_range_within_one_word() {
         let mut w = [!0u64];
         clear_range(&mut w, 3, 7);
-        assert_eq!(w[0], !0u64 & !0b1111000);
+        assert_eq!(w[0], !0b1111000);
     }
 
     #[test]

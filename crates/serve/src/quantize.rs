@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn binning_preserves_every_comparison() {
         let bins = FeatureBins::from_columns(vec![vec![0.25, 0.5, 0.75]]);
-        let probes = [0.0f32, 0.25, 0.25000001, 0.4999999, 0.5, 0.75, 1.0, f32::NAN, f32::INFINITY];
+        let probes = [0.0f32, 0.25, 0.25000003, 0.4999999, 0.5, 0.75, 1.0, f32::NAN, f32::INFINITY];
         for t in [0.25f32, 0.5, 0.75] {
             let bt = bins.bin(0, t);
             for v in probes {

@@ -1,7 +1,7 @@
 //! Consistency oracles for the SAT-based abductive explainer.
 //!
-//! Two checks, both pure functions of `(seed, SizeLevel)` like every other
-//! registry entry:
+//! Three checks, each a pure function of `(seed, SizeLevel)` like every
+//! other registry entry:
 //!
 //! - `xsat-abductive-sound-minimal`: brute-force-verifies that every
 //!   abductive explanation really is a *sufficient reason* (fixing its
@@ -20,16 +20,25 @@
 //!   deliberately not compared: SHAP explains the probability, the core
 //!   explains the vote, and the two can legitimately rank features
 //!   differently.
+//! - `xsat-exact-vs-deletion`: the engine deduces most deletion-loop
+//!   verdicts from UNSAT cores and SAT models instead of asking the
+//!   solver. On a forest wide enough for that to happen (tens of used
+//!   features), its `sufficient` and `contrastive` sets must equal, byte
+//!   for byte, those of the plain loops that make one SAT call per
+//!   candidate (`plain_deletion`).
 //!
-//! The brute-force side enumerates one representative per threshold-grid
-//! cell, which is exponential in feature count — so these checks clamp
-//! their scenarios to `MAX_LEVEL` (internally) and cap tree depth, keeping the grid
-//! a few thousand cells.
+//! The brute-force side of the first two enumerates one representative per
+//! threshold-grid cell, which is exponential in feature count — so those
+//! checks clamp their scenarios to `MAX_LEVEL` (internally) and cap tree
+//! depth, keeping the grid a few thousand cells.
 
 use drcshap_forest::{RandomForest, RandomForestTrainer};
-use drcshap_ml::Trainer;
+use drcshap_ml::{Dataset, Trainer};
 use drcshap_shap::tree_shap;
-use drcshap_xsat::{forest_vote, AbductiveEngine, ForestEncoding, XsatBudget};
+use drcshap_xsat::{
+    forest_vote, AbductiveEngine, ForestEncoding, SolveBudget, SolveOutcome, Solver, XsatBudget,
+};
+use rand::Rng;
 
 use crate::oracle::Check;
 use crate::scenario::{self, SizeLevel};
@@ -327,12 +336,120 @@ fn check_shap_vs_abductive(seed: u64, level: SizeLevel) -> Result<(), String> {
     Ok(())
 }
 
+/// `(features, trees, depth)` of the wide forest per level: the default
+/// level has tens of used features, so most deletion-loop verdicts are
+/// deduced rather than asked.
+fn wide_shape(level: SizeLevel) -> (usize, usize, usize) {
+    [(12, 8, 3), (24, 15, 4), (40, 25, 5)][level.0.min(SizeLevel::DEFAULT.0) as usize]
+}
+
+/// A forest over many features: labels from a noisy linear rule over all
+/// of them, so the trees split on most features somewhere.
+fn wide_forest(seed: u64, level: SizeLevel) -> RandomForest {
+    let (m, n_trees, depth) = wide_shape(level);
+    let mut rng = scenario::rng_for(seed ^ 0xE7AC);
+    let weights: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let n = 300;
+    let mut x = Vec::with_capacity(n * m);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let row: Vec<f32> = (0..m).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+        let score: f32 = row.iter().zip(&weights).map(|(a, w)| (a - 0.5) * w).sum();
+        y.push(score + rng.gen_range(-0.2f32..0.2) > 0.0);
+        x.extend_from_slice(&row);
+    }
+    let data = Dataset::from_parts(x, y, vec![0; n], m);
+    RandomForestTrainer { n_trees, max_depth: Some(depth), ..Default::default() }
+        .fit(&data, seed ^ 0x51DE)
+}
+
+/// The textbook deletion loops, one SAT call per candidate on a solver of
+/// their own: drop each used feature in ascending order while the rest
+/// still forces the class, then pin each one while the rest can still flip
+/// it. Returns `(sufficient, contrastive, sat_calls)`.
+fn plain_deletion(enc: &ForestEncoding, x: &[f32], hotspot: bool) -> (Vec<usize>, Vec<usize>, u32) {
+    let mut solver = Solver::from_cnf(enc.cnf());
+    let guard = if hotspot { enc.guard_not_hotspot() } else { enc.guard_hotspot() };
+    let mut calls = 0u32;
+    let mut flippable = |fixed: &[usize]| {
+        let mut assumptions = Vec::new();
+        for &j in fixed {
+            enc.fix_feature(j, x[j], &mut assumptions);
+        }
+        assumptions.push(guard);
+        calls += 1;
+        solver.solve(&assumptions, &SolveBudget::unlimited()) == SolveOutcome::Sat
+    };
+    let used = enc.used_features();
+    let mut sufficient = used.clone();
+    let mut i = 0;
+    while i < sufficient.len() {
+        let mut candidate = sufficient.clone();
+        candidate.remove(i);
+        if flippable(&candidate) {
+            i += 1;
+        } else {
+            sufficient = candidate;
+        }
+    }
+    let mut contrastive = Vec::new();
+    if flippable(&[]) {
+        let mut free = used.clone();
+        let mut i = 0;
+        while i < free.len() {
+            let fixed: Vec<usize> =
+                used.iter().copied().filter(|&j| j == free[i] || !free.contains(&j)).collect();
+            if flippable(&fixed) {
+                free.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        contrastive = free;
+    }
+    (sufficient, contrastive, calls)
+}
+
+fn check_exact_vs_deletion(seed: u64, level: SizeLevel) -> Result<(), String> {
+    let forest = wide_forest(seed, level);
+    let m = forest.n_features();
+    let mut engine = AbductiveEngine::new(&forest).map_err(|e| format!("encoding failed: {e}"))?;
+    // Finite probes, then probes with NaN / ±inf entries (the open cells).
+    let mut rng = scenario::rng_for(seed ^ 0xE4AC);
+    let mut probes = scenario::probes(&mut rng, m, N_PROBES, false);
+    probes.extend(scenario::probes(&mut rng, m, N_PROBES / 2, true));
+    // One persistent engine across probes: its trail and learned clauses
+    // carry from one explanation into the next, as on the serve path.
+    for (p, x) in probes.iter().enumerate() {
+        let ex = engine
+            .explain(x, &XsatBudget::default())
+            .map_err(|e| format!("probe {p}: explain failed: {e}"))?;
+        let (sufficient, contrastive, calls) =
+            plain_deletion(engine.encoding(), x, ex.predicted_hotspot);
+        if (&ex.sufficient, &ex.contrastive) != (&sufficient, &contrastive) {
+            return Err(format!(
+                "probe {p}: engine gives sufficient {:?} / contrastive {:?}, plain deletion \
+                 gives {sufficient:?} / {contrastive:?}",
+                ex.sufficient, ex.contrastive
+            ));
+        }
+        if ex.sat_calls > calls {
+            return Err(format!(
+                "probe {p}: engine made {} SAT calls, more than plain deletion's {calls}",
+                ex.sat_calls
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The xsat consistency checks, run by `testkit run --xsat-checks` and
 /// replayable by name like every registry entry.
 pub fn checks() -> Vec<Check> {
     vec![
         Check { name: "xsat-abductive-sound-minimal", run: check_abductive_sound_minimal },
         Check { name: "shap-vs-abductive", run: check_shap_vs_abductive },
+        Check { name: "xsat-exact-vs-deletion", run: check_exact_vs_deletion },
     ]
 }
 
@@ -349,6 +466,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_wide_forest_makes_the_engine_skip_calls() {
+        // The exactness oracle is only meaningful where verdicts are
+        // deduced: tens of used features, and far fewer SAT calls than the
+        // plain loops need.
+        let forest = wide_forest(0, SizeLevel::DEFAULT);
+        let mut engine = AbductiveEngine::new(&forest).expect("encodable");
+        assert!(engine.encoding().used_features().len() >= 20);
+        let x = vec![0.5f32; forest.n_features()];
+        let ex = engine.explain(&x, &XsatBudget::default()).expect("explains");
+        let (_, _, calls) = plain_deletion(engine.encoding(), &x, ex.predicted_hotspot);
+        assert!(2 * ex.sat_calls < calls, "{} engine calls vs {calls} plain", ex.sat_calls);
     }
 
     #[test]

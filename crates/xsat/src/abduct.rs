@@ -21,6 +21,15 @@
 //! set intersects every sufficient reason — a cheap cross-check the
 //! testkit oracle exploits.
 //!
+//! Both loops ask the solver only what they cannot deduce. Sufficiency is
+//! monotone: a superset of a sufficient set is sufficient, and a subset of
+//! a flippable set is flippable. An UNSAT call's failed-assumption core is
+//! a sufficient subset of the candidate, and a SAT model is a flip that
+//! moves only some features; every later candidate that still contains the
+//! core, or still frees every feature the model moved, gets the same
+//! verdict without a call. The deletion order is unchanged, so the answers
+//! are the ones one call per candidate would give.
+//!
 //! Everything here is deterministic for a given engine state: features are
 //! probed in ascending index order and the solver itself is deterministic,
 //! which is what makes `drcshap explain` output bit-stable across runs.
@@ -28,7 +37,7 @@
 use std::time::Instant;
 
 use drcshap_forest::RandomForest;
-use drcshap_ml::{DrcshapError, XsatError};
+use drcshap_ml::{DrcshapError, InputError, XsatError};
 use drcshap_telemetry as telemetry;
 
 use crate::cnf::Lit;
@@ -163,6 +172,15 @@ impl<'a> BudgetLedger<'a> {
     }
 }
 
+/// The features `lits` pin, as a mask over every feature.
+fn features_of(enc: &ForestEncoding, lits: impl IntoIterator<Item = Lit>) -> Vec<bool> {
+    let mut mask = vec![false; enc.n_features()];
+    for j in lits.into_iter().filter_map(|l| enc.feature_of(l)) {
+        mask[j] = true;
+    }
+    mask
+}
+
 impl AbductiveEngine {
     /// Encodes `forest` and prepares a solver. The forest is cloned so the
     /// engine can later report vote counts without a live reference.
@@ -181,6 +199,8 @@ impl AbductiveEngine {
     ///
     /// # Errors
     ///
+    /// - [`InputError::LengthMismatch`] when `x` does not have one value
+    ///   per forest feature.
     /// - [`DrcshapError::ExplanationTimeout`] when the budget runs out —
     ///   the caller decides whether to degrade (serve path falls back to
     ///   SHAP-only) or retry with a larger budget.
@@ -194,6 +214,10 @@ impl AbductiveEngine {
         budget: &XsatBudget,
     ) -> Result<AbductiveExplanation, DrcshapError> {
         let _span = telemetry::span_with("xsat/explain", || format!("{} features", x.len()));
+        let expected = self.encoding.n_features();
+        if x.len() != expected {
+            return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
+        }
         let votes_for = forest_vote_count(&self.forest, x);
         let n_trees = self.forest.trees().len();
         let predicted_hotspot = 2 * votes_for > n_trees;
@@ -205,22 +229,24 @@ impl AbductiveEngine {
             self.encoding.guard_hotspot()
         };
         let used = self.encoding.used_features();
-        let mut ledger = BudgetLedger::new(budget, &self.solver);
-
-        let fix = |enc: &ForestEncoding, features: &[usize], out: &mut Vec<Lit>| {
-            out.clear();
-            for &j in features {
-                enc.fix_feature(j, x[j], out);
-            }
-            out.push(flip_guard);
-        };
+        let (enc, solver) = (&self.encoding, &mut self.solver);
+        let mut ledger = BudgetLedger::new(budget, solver);
         let mut assumptions = Vec::new();
+        // One SAT call: the guard, then `fixed` pinned to `x`'s grid cells,
+        // in that order.
+        let mut query = |solver: &mut Solver, fixed: &mut dyn Iterator<Item = &usize>| {
+            assumptions.clear();
+            assumptions.push(flip_guard);
+            for &j in fixed {
+                enc.fix_feature(j, x[j], &mut assumptions);
+            }
+            ledger.solve(solver, &assumptions)
+        };
 
         // Invariant: fixing every used feature pins the whole grid cell, so
         // the opposite class must be impossible. Anything else means the
         // encoding disagrees with the forest.
-        fix(&self.encoding, &used, &mut assumptions);
-        if ledger.solve(&mut self.solver, &assumptions)? != SolveOutcome::Unsat {
+        if query(solver, &mut used.iter().rev())? != SolveOutcome::Unsat {
             return Err(XsatError::EncodingInvariant {
                 detail: format!(
                     "fixing all {} used features does not force the predicted class \
@@ -231,47 +257,64 @@ impl AbductiveEngine {
             .into());
         }
 
-        // Deletion loop: drop each feature whose removal keeps sufficiency.
-        // Ascending order + deterministic solver = deterministic output.
-        let mut sufficient = used.clone();
-        let mut i = 0;
-        while i < sufficient.len() {
-            let mut candidate = sufficient.clone();
-            candidate.remove(i);
-            fix(&self.encoding, &candidate, &mut assumptions);
-            if ledger.solve(&mut self.solver, &assumptions)? == SolveOutcome::Unsat {
-                sufficient = candidate; // still sufficient without it
+        // Deletion loop for the sufficient reason, in ascending order. An
+        // UNSAT call's final conflict pins a sufficient subset of the
+        // candidate. The current set always contains the last such core, so
+        // dropping a feature outside it leaves a superset of a sufficient
+        // set: it drops without a call. Kept features are planted first and
+        // the untested tail from the highest index down, so the next core
+        // draws on the features tested last.
+        let core = |solver: &Solver| features_of(enc, solver.failed_assumptions().iter().copied());
+        let mut in_core = core(solver);
+        let mut sufficient = Vec::new();
+        for (i, &j) in used.iter().enumerate() {
+            if !in_core[j] {
+                continue;
+            }
+            let verdict = query(solver, &mut sufficient.iter().chain(used[i + 1..].iter().rev()))?;
+            if verdict == SolveOutcome::Unsat {
+                in_core = core(solver); // still sufficient without `j`
             } else {
-                i += 1; // necessary; keep it
+                sufficient.push(j); // necessary; keep it
             }
         }
 
         // Contrastive dual: a minimal set of features whose change alone
-        // can flip the class. Start from "all used free"; if even that is
-        // SAT, shrink. If it is UNSAT the forest is constant — no
-        // contrastive explanation exists.
+        // can flip the class, shrunk from "all used free" by pinning each
+        // feature in turn while the rest can still flip. A SAT model leaves
+        // `x`'s cell only on the features it moved, so pinning a feature it
+        // did not move stays flippable without a call. Saved phases start
+        // every feature in `x`'s cell to keep models close to `x`. If even
+        // all-free is UNSAT the forest is constant: no contrastive set.
+        let mut cell = Vec::new();
+        for &j in &used {
+            enc.fix_feature(j, x[j], &mut cell);
+        }
+        let mut flip = |solver: &mut Solver, fixed: &mut dyn Iterator<Item = &usize>| {
+            cell.iter().for_each(|&l| solver.set_phase(l));
+            let verdict = query(solver, fixed)?;
+            Ok::<_, DrcshapError>((verdict == SolveOutcome::Sat).then(|| {
+                features_of(enc, cell.iter().copied().filter(|l| !l.eval(solver.value(l.var()))))
+            }))
+        };
         let mut contrastive = Vec::new();
-        fix(&self.encoding, &[], &mut assumptions);
-        if ledger.solve(&mut self.solver, &assumptions)? == SolveOutcome::Sat {
-            let mut free: Vec<usize> = used.clone();
-            let mut i = 0;
-            while i < free.len() {
-                // Try pinning feature free[i] too: fix complement ∪ {free[i]}.
-                let mut fixed: Vec<usize> =
-                    used.iter().copied().filter(|j| !free.contains(j)).collect();
-                fixed.push(free[i]);
-                fixed.sort_unstable();
-                fix(&self.encoding, &fixed, &mut assumptions);
-                if ledger.solve(&mut self.solver, &assumptions)? == SolveOutcome::Sat {
-                    free.remove(i); // still flippable without touching it
-                } else {
-                    i += 1; // must stay free
+        if let Some(mut moved) = flip(solver, &mut std::iter::empty())? {
+            let mut pinned = Vec::new();
+            for &j in &used {
+                if moved[j] {
+                    match flip(solver, &mut pinned.iter().chain([&j]))? {
+                        Some(now_moved) => moved = now_moved,
+                        None => {
+                            contrastive.push(j); // must stay free
+                            continue;
+                        }
+                    }
                 }
+                pinned.push(j);
             }
-            contrastive = free;
         }
 
-        let stats = self.solver.stats();
+        let stats = solver.stats();
         telemetry::counter("xsat/explanations", 1);
         telemetry::counter("xsat/explanation_features", sufficient.len() as u64);
         Ok(AbductiveExplanation {
@@ -283,13 +326,13 @@ impl AbductiveEngine {
                 .map(|&j| ExplainedFeature {
                     feature: j,
                     value: x[j],
-                    interval: self.encoding.interval_of(j, x[j]),
+                    interval: enc.interval_of(j, x[j]),
                 })
                 .collect(),
             sufficient,
             contrastive,
             sat_calls: ledger.sat_calls,
-            conflicts: ledger.spent_conflicts(&self.solver),
+            conflicts: ledger.spent_conflicts(solver),
             propagations: stats.propagations - ledger.start.propagations,
         })
     }
@@ -468,6 +511,22 @@ mod tests {
             engine.explain(&[0.5, 0.5, 0.5], &budget),
             Err(DrcshapError::ExplanationTimeout { .. })
         ));
+    }
+
+    #[test]
+    fn rows_of_the_wrong_length_are_typed_errors() {
+        let forest = tiny_forest(2, 3, 5);
+        let mut engine = AbductiveEngine::new(&forest).expect("encodable");
+        for x in [&[0.5f32, 0.5][..], &[0.5, 0.5, 0.5, 0.5]] {
+            match engine.explain(x, &XsatBudget::default()) {
+                Err(DrcshapError::Input(InputError::LengthMismatch { expected: 3, found })) => {
+                    assert_eq!(found, x.len());
+                }
+                other => panic!("expected LengthMismatch for {} values, got {other:?}", x.len()),
+            }
+        }
+        // The engine stays usable afterwards.
+        engine.explain(&[0.5, 0.5, 0.5], &XsatBudget::default()).expect("explains");
     }
 
     #[test]

@@ -79,6 +79,8 @@ pub struct FeatureInterval {
 pub struct ForestEncoding {
     cnf: Cnf,
     features: Vec<FeatureVars>,
+    /// Variable -> the feature it is an interval literal of.
+    var_feature: Vec<Option<u32>>,
     guard_hotspot: Lit,
     guard_not_hotspot: Lit,
     n_trees: usize,
@@ -142,7 +144,13 @@ impl ForestEncoding {
         cnf.add_at_least_k(&vote_lits, n / 2 + 1, Some(guard_hotspot));
         cnf.add_at_most_k(&vote_lits, n / 2, Some(guard_not_hotspot));
 
-        Ok(Self { cnf, features, guard_hotspot, guard_not_hotspot, n_trees: n })
+        let mut var_feature = vec![None; cnf.n_vars() as usize];
+        for (j, f) in features.iter().enumerate() {
+            for &v in &f.vars {
+                var_feature[v as usize] = Some(j as u32);
+            }
+        }
+        Ok(Self { cnf, features, var_feature, guard_hotspot, guard_not_hotspot, n_trees: n })
     }
 
     /// The finished formula.
@@ -194,6 +202,12 @@ impl ForestEncoding {
         for (i, &t) in f.thresholds.iter().enumerate() {
             out.push(Lit::with_sign(f.vars[i], value <= t));
         }
+    }
+
+    /// The feature `lit` pins when it is an interval literal; `None` for
+    /// leaf, vote, counter and guard literals.
+    pub(crate) fn feature_of(&self, lit: Lit) -> Option<usize> {
+        self.var_feature.get(lit.var() as usize).copied().flatten().map(|j| j as usize)
     }
 
     /// The grid cell of feature `j` containing `value` as explicit bounds.
@@ -346,6 +360,19 @@ mod tests {
             let nan = enc.interval_of(j, f32::NAN);
             assert_eq!(nan.upper, None);
         }
+    }
+
+    #[test]
+    fn interval_literals_map_back_to_their_feature() {
+        let forest = tiny_forest(11, 3, 4);
+        let enc = ForestEncoding::encode(&forest).expect("encodable");
+        for j in 0..enc.n_features() {
+            let mut lits = Vec::new();
+            enc.fix_feature(j, 0.5, &mut lits);
+            assert!(lits.iter().all(|&l| enc.feature_of(l) == Some(j)), "feature {j}");
+        }
+        assert_eq!(enc.feature_of(enc.guard_hotspot()), None);
+        assert_eq!(enc.feature_of(enc.guard_not_hotspot()), None);
     }
 
     #[test]

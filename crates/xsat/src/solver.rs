@@ -17,9 +17,15 @@
 //!   without forgetting polarities.
 //! - **Solving under assumptions**: assumptions are planted as the first
 //!   decisions; an assumption that propagates to false proves UNSAT under
-//!   those assumptions without touching the clause database. This is what
-//!   the abductive engine's deletion loop leans on — one shared formula,
-//!   hundreds of cheap incremental calls.
+//!   those assumptions without touching the clause database, and the
+//!   subset of assumptions that implied it is kept as the final conflict
+//!   ([`Solver::failed_assumptions`], MiniSat's `analyzeFinal`). This is
+//!   what the abductive engine's deletion loop leans on — one shared
+//!   formula, many cheap incremental calls.
+//! - **Trail reuse**: decision level `k` of an assumption run holds the
+//!   `k`-th assumption, so a call keeps the levels of the assumption prefix
+//!   it shares with the previous call instead of re-planting them, and a
+//!   restart goes back to the last assumption level rather than level 0.
 //!
 //! Every `solve` call honours a [`SolveBudget`] (conflict cap and optional
 //! wall-clock deadline) and returns [`SolveOutcome::BudgetExhausted`]
@@ -215,6 +221,12 @@ pub struct Solver {
     ok: bool,
     /// Pending top-level units not yet propagated.
     pending_units: Vec<Lit>,
+    /// The last call's assumptions. Decision level `k ≤ len` holds
+    /// `assumptions[k - 1]`, which is what lets the next call keep the
+    /// levels of a shared prefix.
+    assumptions: Vec<Lit>,
+    /// The final conflict of the last UNSAT verdict.
+    failed: Vec<Lit>,
     stats: SolverStats,
 }
 
@@ -260,6 +272,8 @@ impl Solver {
             seen: vec![false; n_vars as usize],
             ok: true,
             pending_units: Vec::new(),
+            assumptions: Vec::new(),
+            failed: Vec::new(),
             stats: SolverStats::default(),
         }
     }
@@ -289,6 +303,19 @@ impl Solver {
         self.assign[var as usize] > 0
     }
 
+    /// After a [`SolveOutcome::Unsat`] return: a subset of that call's
+    /// assumptions that the formula already refutes on its own. Empty when
+    /// the formula is unsatisfiable without any assumption.
+    pub fn failed_assumptions(&self) -> &[Lit] {
+        &self.failed
+    }
+
+    /// Makes the next decision on `lit`'s variable try `lit` first. Phase
+    /// saving overwrites it whenever the variable is assigned.
+    pub(crate) fn set_phase(&mut self, lit: Lit) {
+        self.phase[lit.var() as usize] = !lit.is_neg();
+    }
+
     fn lit_value(&self, l: Lit) -> i8 {
         let a = self.assign[l.var() as usize];
         if l.is_neg() {
@@ -306,7 +333,8 @@ impl Solver {
     /// Unit clauses are queued for top-level propagation at the next
     /// `solve`; the empty clause makes the solver permanently UNSAT.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        debug_assert_eq!(self.decision_level(), 0, "clauses are added at the top level");
+        // The kept trail of the last call may contradict the new clause.
+        self.cancel_until(0);
         let mut lits = lits.to_vec();
         lits.sort_unstable();
         lits.dedup();
@@ -475,6 +503,36 @@ impl Solver {
         self.qhead = bound;
     }
 
+    /// MiniSat's `analyzeFinal`: appends to the (cleared) `failed` the
+    /// assumption `a`, found false on the trail, and every assumption that
+    /// implied `¬a`. Assumptions are planted before any search decision, so
+    /// each decision on the trail at this point is an assumption.
+    fn analyze_final(&mut self, a: Lit) {
+        self.failed.push(a);
+        let v = a.var() as usize;
+        if self.level[v] == 0 {
+            return;
+        }
+        self.seen[v] = true;
+        for i in (self.trail_lim[0]..self.trail.len()).rev() {
+            let l = self.trail[i];
+            if !self.seen[l.var() as usize] {
+                continue;
+            }
+            self.seen[l.var() as usize] = false;
+            match self.reason[l.var() as usize] {
+                NO_REASON => self.failed.push(l),
+                r => {
+                    for q in &self.clauses[r as usize].lits[1..] {
+                        if self.level[q.var() as usize] > 0 {
+                            self.seen[q.var() as usize] = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn new_decision_level(&mut self) {
         self.trail_lim.push(self.trail.len());
     }
@@ -495,21 +553,31 @@ impl Solver {
     /// over to later calls either way.
     pub fn solve(&mut self, assumptions: &[Lit], budget: &SolveBudget) -> SolveOutcome {
         let _span = telemetry::span("xsat/solve");
-        self.cancel_until(0);
+        self.failed.clear();
+        // Keep the levels of the assumption prefix shared with the last
+        // call; every level above it is cancelled.
+        let shared =
+            self.assumptions.iter().zip(assumptions).take_while(|(old, new)| old == new).count();
+        self.cancel_until(shared as u32);
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
         if !self.ok {
             return SolveOutcome::Unsat;
         }
-        // Flush queued top-level units first.
-        let pending = std::mem::take(&mut self.pending_units);
-        for unit in pending {
-            if !self.enqueue(unit, NO_REASON) {
+        // Flush queued top-level units. Only a conflict at level 0 refutes
+        // the formula itself.
+        if self.decision_level() == 0 {
+            let pending = std::mem::take(&mut self.pending_units);
+            for unit in pending {
+                if !self.enqueue(unit, NO_REASON) {
+                    self.ok = false;
+                    return SolveOutcome::Unsat;
+                }
+            }
+            if self.propagate().is_some() {
                 self.ok = false;
                 return SolveOutcome::Unsat;
             }
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SolveOutcome::Unsat;
         }
         let start_conflicts = self.stats.conflicts;
         let mut restart_num = 0u64;
@@ -553,7 +621,8 @@ impl Solver {
                     restart_num += 1;
                     restart_limit = LUBY_UNIT * luby(restart_num);
                     conflicts_since_restart = 0;
-                    self.cancel_until(0);
+                    // Restart the search, not the assumptions.
+                    self.cancel_until(assumptions.len() as u32);
                 }
             } else {
                 // Plant the next pending assumption, or branch.
@@ -563,7 +632,7 @@ impl Solver {
                     match self.lit_value(a) {
                         1 => self.new_decision_level(), // already holds; empty level keeps indexing aligned
                         -1 => {
-                            self.cancel_until(0);
+                            self.analyze_final(a);
                             return SolveOutcome::Unsat;
                         }
                         _ => {
@@ -652,25 +721,29 @@ mod tests {
         assert_eq!(s.solve(&[], &SolveBudget::unlimited()), SolveOutcome::Sat);
     }
 
-    #[test]
-    fn pigeonhole_3_into_2_is_unsat() {
-        // p_{i,j}: pigeon i in hole j. Every pigeon somewhere; no hole
-        // holds two pigeons. Classic small UNSAT instance that actually
-        // exercises clause learning.
+    /// `pigeons` into `holes`, with p_{i,j} = pigeon i in hole j: every
+    /// pigeon sits somewhere and no hole holds two. A classic small UNSAT
+    /// instance (when pigeons > holes) that exercises clause learning.
+    fn pigeonhole(pigeons: usize, holes: usize) -> Cnf {
         let mut cnf = Cnf::new();
         let p: Vec<Vec<Lit>> =
-            (0..3).map(|_| (0..2).map(|_| Lit::pos(cnf.new_var())).collect()).collect();
-        for i in 0..3 {
-            cnf.add_clause(&[p[i][0], p[i][1]]);
+            (0..pigeons).map(|_| (0..holes).map(|_| Lit::pos(cnf.new_var())).collect()).collect();
+        for row in &p {
+            cnf.add_clause(row);
         }
-        for j in 0..2 {
-            for a in 0..3 {
-                for b in a + 1..3 {
-                    cnf.add_clause(&[p[a][j].negate(), p[b][j].negate()]);
+        for j in 0..holes {
+            for (a, row_a) in p.iter().enumerate() {
+                for row_b in &p[a + 1..] {
+                    cnf.add_clause(&[row_a[j].negate(), row_b[j].negate()]);
                 }
             }
         }
-        let mut s = Solver::from_cnf(&cnf);
+        cnf
+    }
+
+    #[test]
+    fn pigeonhole_3_into_2_is_unsat() {
+        let mut s = Solver::from_cnf(&pigeonhole(3, 2));
         assert_eq!(s.solve(&[], &SolveBudget::unlimited()), SolveOutcome::Unsat);
         assert!(s.stats().conflicts > 0);
     }
@@ -702,24 +775,59 @@ mod tests {
     #[test]
     fn conflict_budget_yields_budget_exhausted() {
         // Pigeonhole 5-into-4 takes well over one conflict to refute.
-        let mut cnf = Cnf::new();
-        let p: Vec<Vec<Lit>> =
-            (0..5).map(|_| (0..4).map(|_| Lit::pos(cnf.new_var())).collect()).collect();
-        for i in 0..5 {
-            let row: Vec<Lit> = p[i].clone();
-            cnf.add_clause(&row);
-        }
-        for j in 0..4 {
-            for a in 0..5 {
-                for b in a + 1..5 {
-                    cnf.add_clause(&[p[a][j].negate(), p[b][j].negate()]);
-                }
-            }
-        }
-        let mut s = Solver::from_cnf(&cnf);
+        let mut s = Solver::from_cnf(&pigeonhole(5, 4));
         assert_eq!(s.solve(&[], &SolveBudget::conflicts(1)), SolveOutcome::BudgetExhausted);
         // With the budget lifted the verdict is reached.
         assert_eq!(s.solve(&[], &SolveBudget::unlimited()), SolveOutcome::Unsat);
+    }
+
+    #[test]
+    fn restarts_under_assumptions_keep_the_verdict() {
+        // Refuting pigeonhole 6-into-5 takes several Luby restarts; with an
+        // assumption planted, each restart goes back to its level.
+        let mut cnf = pigeonhole(6, 5);
+        let free = Lit::pos(cnf.new_var());
+        let mut s = Solver::from_cnf(&cnf);
+        assert_eq!(s.solve(&[free], &SolveBudget::unlimited()), SolveOutcome::Unsat);
+        assert!(s.stats().restarts > 0);
+        // The formula itself is refuted, so no assumption is to blame.
+        assert!(s.failed_assumptions().is_empty());
+        assert_eq!(s.solve(&[free.negate()], &SolveBudget::unlimited()), SolveOutcome::Unsat);
+    }
+
+    #[test]
+    fn a_conflict_at_a_kept_level_refutes_the_assumption_not_the_formula() {
+        // Under a, deciding ¬x conflicts and learns ¬a ∨ x. A one-conflict
+        // budget returns with x asserted at a's level but not propagated.
+        // The next call keeps that level, and propagating x conflicts
+        // there: a is refuted, the formula (satisfied by ¬a) is not.
+        let cnf = cnf_of(4, &[&[-1, 2, 4], &[-1, 2, -4], &[-1, -2, 3], &[-1, -2, -3]]);
+        let mut s = Solver::from_cnf(&cnf);
+        assert_eq!(s.solve(&[lit(1)], &SolveBudget::conflicts(1)), SolveOutcome::BudgetExhausted);
+        assert_eq!(s.solve(&[lit(1)], &SolveBudget::unlimited()), SolveOutcome::Unsat);
+        assert_eq!(s.failed_assumptions(), &[lit(1)]);
+        assert_eq!(s.solve(&[], &SolveBudget::unlimited()), SolveOutcome::Sat);
+        assert!(model_satisfies(&s, &cnf, &[]));
+    }
+
+    #[test]
+    fn failed_assumptions_name_the_culprits() {
+        // a → b → c, and ¬c ∨ ¬d: under [e, a, d] the core is {a, d}.
+        let cnf = cnf_of(5, &[&[-1, 2], &[-2, 3], &[-3, -4]]);
+        let mut s = Solver::from_cnf(&cnf);
+        assert_eq!(
+            s.solve(&[lit(5), lit(1), lit(4)], &SolveBudget::unlimited()),
+            SolveOutcome::Unsat
+        );
+        let mut core = s.failed_assumptions().to_vec();
+        core.sort_unstable();
+        assert_eq!(core, vec![lit(1), lit(4)]);
+        // The next call keeps the shared prefix [e, a] and stays exact.
+        assert_eq!(
+            s.solve(&[lit(5), lit(1), lit(3)], &SolveBudget::unlimited()),
+            SolveOutcome::Sat
+        );
+        assert!(model_satisfies(&s, &cnf, &[lit(5), lit(1), lit(3)]));
     }
 
     #[test]
