@@ -30,7 +30,7 @@
 //!
 //! Every sketch in this crate is held to an exact full-sort reference by
 //! the testkit `sketch-differential` oracle, and the end-to-end fold is
-//! held to [`drcshap_shap::summary`] by `analytics-consistency`.
+//! held to [`drcshap_shap::summarize`] by `analytics-consistency`.
 //!
 //! # Example
 //!

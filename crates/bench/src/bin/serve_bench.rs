@@ -16,6 +16,7 @@
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --trace serve.json --stats
 //! ```
 //!
+//! The report records the host it ran on (`host.cpus`, `host.cpu`).
 //! `--out <path>` merges the serve fields into an existing JSON baseline
 //! (preserving the `gateway`, `registry`, and `xsat` sections other
 //! benches maintain) or creates the file fresh.
@@ -398,6 +399,7 @@ fn main() {
     let report = serde_json::json!({
         "bench": "serve_bench",
         "status": "measured",
+        "host": drcshap_bench::host(),
         "trees": n_trees,
         "features": m,
         "batch": batch,

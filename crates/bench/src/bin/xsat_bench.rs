@@ -153,21 +153,6 @@ fn verify_deterministic(forest: &RandomForest, probes: &[Vec<f32>]) {
     assert_eq!(explain_all(), explain_all(), "explanations are not bit-stable across engines");
 }
 
-/// The host the numbers come from: CPUs usable by this process and the
-/// CPU model.
-fn host() -> serde_json::Value {
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let cpu = cpuinfo
-        .lines()
-        .find(|l| l.starts_with("model name"))
-        .and_then(|l| l.split(':').nth(1))
-        .map_or("unknown", str::trim);
-    serde_json::json!({
-        "cpus": std::thread::available_parallelism().map_or(0, |n| n.get()),
-        "cpu": cpu,
-    })
-}
-
 /// A finite, positive number from a nested baseline field.
 fn baseline_number(report: &serde_json::Value, path: &[&str]) -> Option<f64> {
     let mut v = report;
@@ -285,7 +270,7 @@ fn main() {
     let report = serde_json::json!({
         "bench": "xsat_bench",
         "status": "measured",
-        "host": host(),
+        "host": drcshap_bench::host(),
         "trees": n_trees,
         "depth": depth,
         "features": m,

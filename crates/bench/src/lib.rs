@@ -55,6 +55,21 @@ pub fn env_families() -> Vec<ModelFamily> {
     }
 }
 
+/// The host a bench report's numbers come from: the CPUs usable by this
+/// process and the CPU model.
+pub fn host() -> serde_json::Value {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .map_or("unknown", str::trim);
+    serde_json::json!({
+        "cpus": std::thread::available_parallelism().map_or(0, |n| n.get()),
+        "cpu": cpu,
+    })
+}
+
 /// The paper's Table II per-family averages `(TPR*, Prec*, A_prc)` for
 /// side-by-side reporting.
 pub fn paper_table2_averages(family: ModelFamily) -> (f64, f64, f64) {

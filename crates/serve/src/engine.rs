@@ -64,7 +64,7 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Scoring kernel override (the CLI's `--kernel`). `None` defers to
     /// the `DRCSHAP_KERNEL` environment variable, then to
-    /// [`ForestKernel::auto`] on the forest shape.
+    /// [`ForestKernel::auto`] (`compiled`).
     pub kernel: Option<ForestKernel>,
     /// Streaming explanation analytics. `None` (the default) disables the
     /// sink entirely — the explain path then pays a single branch, no
@@ -684,7 +684,8 @@ impl Drop for ServeEngine {
 }
 
 /// One worker: wait for a flush condition, drain up to `max_batch`
-/// requests, score them against a single model epoch, respond.
+/// requests, score them against a single model epoch, respond newest
+/// first.
 fn worker_loop(shared: &Shared) {
     loop {
         let batch = {
@@ -776,7 +777,9 @@ fn worker_loop(shared: &Shared) {
         shared.metrics.samples.fetch_add(batch_size as u64, Ordering::Relaxed);
         telemetry::counter("serve/batches", 1);
         telemetry::counter("serve/samples", batch_size as u64);
-        for (pending, score) in accepted.into_iter().zip(scores) {
+        // Newest first: a client waiting on its oldest ticket wakes once,
+        // after every other response of the batch is already sent.
+        for (pending, score) in accepted.into_iter().zip(scores).rev() {
             shared.metrics.latency.record(pending.enqueued.elapsed());
             let _ = pending.tx.send(Ok(ScoredResponse { score, epoch: model.epoch, batch_size }));
         }

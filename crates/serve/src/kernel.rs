@@ -8,14 +8,14 @@
 //! | kernel | layout | when |
 //! |---|---|---|
 //! | `reference` | `Vec<TreeNode>` walk | debugging / differential oracle anchor |
-//! | `compiled` | SoA node slabs ([`crate::compiled`]) | large/unpruned trees — the production shape |
-//! | `bitvector` | QuickScorer bitmasks ([`crate::bitvector`]) | small trees with huge threshold sets |
-//! | `bitvector-quantized` | bitmasks over bin ids ([`crate::quantize`]) | small trees (≤ 64 leaves) |
+//! | `compiled` | packed 16-byte nodes, 8 trees in lockstep ([`crate::compiled`]) | every forest — the default |
+//! | `bitvector` | QuickScorer bitmasks ([`crate::bitvector`]) | explicit choice only |
+//! | `bitvector-quantized` | bitmasks over bin ids ([`crate::quantize`]) | explicit choice only |
 //!
 //! Selection order: explicit config (the CLI's `--kernel`), then the
-//! `DRCSHAP_KERNEL` environment variable, then [`ForestKernel::auto`] by
-//! forest shape. The chosen kernel is rebuilt on every hot swap and
-//! reported in [`crate::ServeMetrics`].
+//! `DRCSHAP_KERNEL` environment variable, then [`ForestKernel::auto`],
+//! which is always `compiled`. The chosen kernel is rebuilt on every hot
+//! swap and reported in [`crate::ServeMetrics`].
 //!
 //! NaN-aware batches score through the plain kernel first, then rows
 //! containing NaN are rescored through the compiled NaN-aware path (the
@@ -37,23 +37,12 @@ use crate::quantize::QuantizedForest;
 /// `--kernel` flag wins over it).
 pub const KERNEL_ENV: &str = "DRCSHAP_KERNEL";
 
-/// Mean leaves per tree above which [`ForestKernel::auto`] prefers the
-/// compiled walk. The bitvector kernels do work proportional to the
-/// number of *false* split tests — about half the leaf count per tree —
-/// while the compiled walk does work proportional to tree *depth*, so
-/// large trees drown the mask updates (measured in BENCH_serve.json:
-/// 0.75× compiled at ~15 mean leaves down to 0.27× at ~212; see
-/// DESIGN.md §16). 64 is the single-mask-word boundary: below it every
-/// tree's bitvector is one `u64` and each false node costs one AND,
-/// which is the only regime where the QuickScorer layout is competitive.
-const AUTO_MAX_MEAN_LEAVES: usize = 64;
-
 /// The forest scoring kernel families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForestKernel {
     /// Per-row `RandomForest::predict_proba` — the differential anchor.
     Reference,
-    /// SoA branching traversal ([`CompiledForest`]).
+    /// Packed-node traversal, eight trees in lockstep ([`CompiledForest`]).
     Compiled,
     /// QuickScorer-style branchless bitvector traversal
     /// ([`BitVectorForest`]).
@@ -89,21 +78,11 @@ impl ForestKernel {
         }
     }
 
-    /// Shape-based auto-selection: compiled traversal for trees past the
-    /// single-mask-word boundary (`AUTO_MAX_MEAN_LEAVES` — unpruned
-    /// production forests land here), quantized bitvector for small
-    /// trees, raw bitvector when a feature's threshold set overflows the
-    /// bin-id space.
-    pub fn auto(forest: &RandomForest) -> Self {
-        let n_trees = forest.trees().len().max(1);
-        let total_leaves: usize = forest.trees().iter().map(|t| t.num_leaves()).sum();
-        if total_leaves / n_trees > AUTO_MAX_MEAN_LEAVES {
-            Self::Compiled
-        } else if QuantizedForest::is_eligible(forest) {
-            Self::BitVectorQuantized
-        } else {
-            Self::BitVector
-        }
+    /// The kernel used when none is configured: always `compiled`. It
+    /// outscores both bitvector kernels at every measured forest shape,
+    /// 15-leaf depth-capped trees included (DESIGN.md §16).
+    pub fn auto(_forest: &RandomForest) -> Self {
+        Self::Compiled
     }
 
     /// Resolves the kernel for `forest`: `explicit` (CLI) wins, then the
@@ -306,13 +285,17 @@ mod tests {
         assert!("turbo".parse::<ForestKernel>().is_err());
     }
 
+    /// Small depth-capped forests, the shape the bitvector kernels were
+    /// built for, used to be `auto`'s one route to `bitvector-quantized`.
+    /// The lockstep compiled walk now outscores it there too, so `auto`
+    /// keeps them on `compiled` (DESIGN.md §16).
     #[test]
     fn auto_prefers_quantized_for_typical_forests() {
         let rf = train(5, 1);
         let mean_leaves: usize =
             rf.trees().iter().map(|t| t.num_leaves()).sum::<usize>() / rf.trees().len();
-        assert!(mean_leaves <= 64, "test forest grew past the auto boundary: {mean_leaves}");
-        assert_eq!(ForestKernel::auto(&rf), ForestKernel::BitVectorQuantized);
+        assert!(mean_leaves <= 64, "test forest grew past 64 mean leaves: {mean_leaves}");
+        assert_eq!(ForestKernel::auto(&rf), ForestKernel::Compiled);
     }
 
     #[test]

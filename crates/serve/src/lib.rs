@@ -2,9 +2,9 @@
 //!
 //! This crate owns the serving hot path for DRC hotspot prediction:
 //!
-//! - [`CompiledForest`] — a Random Forest flattened into a
-//!   structure-of-arrays node layout, built once per model, scoring whole
-//!   batches in parallel with scores bit-identical to the reference
+//! - [`CompiledForest`] — a Random Forest flattened into one packed
+//!   16-byte node array, built once per model, walking eight trees of a
+//!   row in lockstep, with scores bit-identical to the reference
 //!   `RandomForest::predict_proba` / `predict_proba_nan_aware`.
 //! - [`ServeEngine`] — a bounded request queue with micro-batching
 //!   (flush at `max_batch` or `max_wait`), a worker pool, typed
@@ -22,11 +22,11 @@
 //!   quantiles.
 //!
 //! Scoring runs through one of four interchangeable *kernels* — see
-//! [`ForestKernel`]: the reference per-row walk, the compiled SoA
+//! [`ForestKernel`]: the reference per-row walk, the compiled packed-node
 //! traversal, the QuickScorer-style branchless [`BitVectorForest`], and
 //! the threshold-set-binned [`QuantizedForest`]. All four are
-//! bit-identical to the reference paths; selection is by forest shape
-//! with a `--kernel` / `DRCSHAP_KERNEL` override.
+//! bit-identical to the reference paths; `compiled` serves unless a
+//! `--kernel` / `DRCSHAP_KERNEL` override picks another.
 //!
 //! The binary surface lives in the root crate (`drcshap serve`) and in
 //! `drcshap-bench` (`serve_bench`); this crate is the library they share.

@@ -124,12 +124,6 @@ pub struct QuantizedForest {
 }
 
 impl QuantizedForest {
-    /// Whether `forest` fits the quantized id space (no feature with more
-    /// than `u16::MAX` distinct thresholds).
-    pub fn is_eligible(forest: &RandomForest) -> bool {
-        FeatureBins::from_forest(forest).max_thresholds() <= u16::MAX as usize
-    }
-
     /// Builds the binned layout from `forest`, picking the narrowest id
     /// width that fits.
     ///
@@ -304,7 +298,6 @@ mod tests {
     fn small_forest_quantizes_to_u8_and_matches_bitwise() {
         let rf = train(9, 3, 1);
         let q = QuantizedForest::compile(&rf).expect("eligible");
-        assert!(QuantizedForest::is_eligible(&rf));
         assert_eq!(q.bin_width_bits(), 8);
         assert_eq!(q.n_trees(), 9);
         let flat: Vec<f32> = (0..50 * 3).map(|i| (i % 13) as f32 / 13.0).collect();

@@ -71,11 +71,11 @@ pub struct EpochCell {
 
 impl EpochCell {
     /// Compiles `forest` and installs it as epoch 1, bound to
-    /// `fingerprint` as the cell's schema identity, with the kernel
-    /// auto-selected from the forest shape.
+    /// `fingerprint` as the cell's schema identity, scoring through
+    /// [`ForestKernel::auto`] (`compiled`).
     pub fn new(forest: RandomForest, fingerprint: u64) -> Self {
         let kernel = ForestKernel::auto(&forest);
-        Self::with_kernel(forest, fingerprint, kernel).expect("auto-selected kernels always build")
+        Self::with_kernel(forest, fingerprint, kernel).expect("the compiled kernel always builds")
     }
 
     /// [`EpochCell::new`] with an explicit kernel choice, kept across

@@ -30,6 +30,23 @@ fn forest(seed: u64) -> RandomForest {
     RandomForestTrainer { n_trees: 8, ..Default::default() }.fit(&data, seed)
 }
 
+/// An unpruned forest on noisy labels: deep trees, so scoring a batch
+/// takes the worker a while.
+fn deep_forest(n_trees: usize) -> RandomForest {
+    let n = 1000;
+    let mut x = Vec::with_capacity(n * N_FEATURES);
+    let mut y = Vec::with_capacity(n);
+    for i in 0..n {
+        for j in 0..N_FEATURES {
+            x.push((((i * 131 + j * 17) % 997) as f32) / 997.0);
+        }
+        // A label hash the features only partly explain keeps splitting.
+        y.push((i * 2_654_435_761) % 7 < 3 || x[i * N_FEATURES] > 0.7);
+    }
+    let data = Dataset::from_parts(x, y, vec![0; n], N_FEATURES);
+    RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, 11)
+}
+
 /// A config whose worker pool cannot flush on its own: one worker, a batch
 /// size and wait the test never reaches — queue behavior is then fully
 /// deterministic.
@@ -72,6 +89,47 @@ fn overloaded_fires_exactly_at_queue_capacity_and_shutdown_drains() {
         assert_eq!(response.epoch, 1);
     }
     assert_eq!(engine.metrics().samples_scored, 4);
+}
+
+/// A batch's responses are all sent before its oldest one: a client
+/// waiting on ticket 0 wakes once and finds every later ticket answered,
+/// instead of waking and blocking again per response. Sending oldest first
+/// fails this on one CPU when the woken client preempts the worker, which
+/// a batch long enough to use up the worker's time slice makes likely; the
+/// test runs several batches so it does not rely on one.
+#[test]
+fn waiting_on_the_oldest_ticket_finds_the_whole_batch_answered() {
+    const N: usize = 256;
+    const ROUNDS: usize = 4;
+    let rf = deep_forest(96);
+    let config = ServeConfig {
+        max_batch: N,
+        max_wait: Duration::from_secs(600),
+        queue_capacity: N,
+        ..frozen_config(N)
+    };
+    let engine = ServeEngine::start(config, rf.clone(), 7).expect("start");
+    let probes: Vec<Vec<f32>> = (0..N)
+        .map(|i| (0..N_FEATURES).map(|j| (((i * 7 + j * 13) % 31) as f32) / 31.0).collect())
+        .collect();
+    let expected: Vec<u64> = probes.iter().map(|p| rf.predict_proba(p).to_bits()).collect();
+    for round in 0..ROUNDS {
+        // The N-th submission fills the batch; nothing flushes before it.
+        let mut tickets: Vec<_> =
+            probes.iter().map(|p| engine.submit(p.clone()).expect("within capacity")).collect();
+        let rest = tickets.split_off(1);
+        let first = tickets.pop().expect("ticket 0").wait().expect("scored");
+        assert_eq!(first.batch_size, N);
+        for (i, ticket) in rest.iter().enumerate() {
+            let response = ticket
+                .wait_for(Duration::ZERO)
+                .unwrap_or_else(|| panic!("round {round}: ticket {} pending after ticket 0", i + 1))
+                .expect("scored");
+            assert_eq!(response.score.to_bits(), expected[i + 1]);
+            assert_eq!(response.batch_size, N);
+        }
+    }
+    assert_eq!(engine.metrics().batches_total, ROUNDS as u64);
 }
 
 #[test]

@@ -47,7 +47,7 @@
 //!     from stdin (one JSON array per line) to JSONL on stdout, or a whole
 //!     built design with `--design`; `--kernel` pins the scoring kernel
 //!     (reference | compiled | bitvector | bitvector-quantized; default:
-//!     `DRCSHAP_KERNEL`, then auto-selection on the forest shape);
+//!     `DRCSHAP_KERNEL`, then compiled);
 //!     `--stats` dumps serving metrics as JSON on stderr at the end
 //! drcshap gateway <model> [--shards <n>] [--batch <n>] [--wait-ms <ms>]
 //!                 [--workers <n>] [--queue <n>] [--nan-aware]
