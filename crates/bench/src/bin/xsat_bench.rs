@@ -19,9 +19,11 @@
 //! `--out <path>` merges the report under an `"xsat"` key, preserving
 //! whatever else the file holds (serve_bench / gateway_bench fields); a
 //! missing file is created fresh. `--gate <baseline.json>` fails (exit 1)
-//! when the baseline has no usable `xsat.primary.explanations_per_s`,
-//! when the baseline was not bit-identical, or when fresh throughput
-//! regresses more than `DRCSHAP_BENCH_TOLERANCE` (default 0.25) below it.
+//! when the baseline's xsat section was recorded at other knobs (trees,
+//! depth, features) than this run — comparing runs at different knobs is
+//! meaningless — when it has no usable `xsat.primary.explanations_per_s`,
+//! when it was not bit-identical, or when fresh throughput regresses more
+//! than `DRCSHAP_BENCH_TOLERANCE` (default 0.25) below it.
 //!
 //! Environment knobs: `DRCSHAP_XSAT_TREES` (default 25),
 //! `DRCSHAP_XSAT_DEPTH` (default 5), `DRCSHAP_XSAT_FEATURES` (default
@@ -162,9 +164,10 @@ fn baseline_number(report: &serde_json::Value, path: &[&str]) -> Option<f64> {
     v.as_f64().filter(|v| v.is_finite() && *v > 0.0)
 }
 
-/// The CI regression gate: fresh primary throughput vs the committed
-/// baseline's `xsat.primary.explanations_per_s`.
-fn run_gate(baseline_path: &str, fresh: f64, tolerance: f64) {
+/// The CI regression gate: the fresh report's primary throughput vs the
+/// committed baseline's `xsat.primary.explanations_per_s`, refused when the
+/// two were recorded at different knobs.
+fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
     let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
         eprintln!("gate: cannot read baseline {baseline_path}: {e}");
         std::process::exit(1);
@@ -174,6 +177,20 @@ fn run_gate(baseline_path: &str, fresh: f64, tolerance: f64) {
         std::process::exit(1);
     });
     let xsat = baseline.get("xsat").unwrap_or(&serde_json::Value::Null);
+    for knob in ["trees", "depth", "features"] {
+        let base_knob = xsat.get(knob).and_then(serde_json::Value::as_u64);
+        let fresh_knob = fresh.get(knob).and_then(serde_json::Value::as_u64);
+        if base_knob != fresh_knob {
+            eprintln!(
+                "gate: REFUSED — baseline {baseline_path} xsat section was recorded with \
+                 {knob}={}, but this run uses {knob}={}; rerun with the baseline's \
+                 DRCSHAP_XSAT_* knobs or regenerate the baseline",
+                base_knob.map_or("null".to_string(), |v| v.to_string()),
+                fresh_knob.map_or("null".to_string(), |v| v.to_string()),
+            );
+            std::process::exit(1);
+        }
+    }
     if xsat.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
         eprintln!("gate: baseline {baseline_path} xsat section was not bit-identical");
         std::process::exit(1);
@@ -185,6 +202,7 @@ fn run_gate(baseline_path: &str, fresh: f64, tolerance: f64) {
         );
         std::process::exit(1);
     };
+    let fresh = fresh["primary"]["explanations_per_s"].as_f64().expect("fresh report is complete");
     let floor = base * (1.0 - tolerance);
     eprintln!(
         "gate: fresh {fresh:.3e} explanations/s vs baseline {base:.3e}/s \
@@ -305,7 +323,7 @@ fn main() {
         };
         match doc.as_object_mut() {
             Some(obj) => {
-                obj.insert("xsat".to_string(), report);
+                obj.insert("xsat".to_string(), report.clone());
             }
             None => {
                 eprintln!("error: {path} is not a JSON object; cannot merge an xsat section");
@@ -320,6 +338,6 @@ fn main() {
         eprintln!("merged xsat section into {path}");
     }
     if let Some(path) = gate_path {
-        run_gate(&path, primary.explanations_per_s, tolerance);
+        run_gate(&path, &report, tolerance);
     }
 }

@@ -200,6 +200,26 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_served_after_a_failed_journal_sync_survives_a_crash() {
+        for seed in 0..16u64 {
+            let backend = Arc::new(FaultBackend::new());
+            let registry = open(&backend);
+            registry.publish_model(&forest(1), 7).unwrap();
+            // Op 5 of a publish is the journal fsync: generation 2's record
+            // is appended but never made durable by the publish itself.
+            backend.arm(FaultPlan { fail_at_op: Some((5, FaultKind::Eio)), ..Default::default() });
+            assert!(registry.publish_model(&forest(2), 7).is_err(), "seed {seed}");
+            // Re-opened without a power cycle, recovery serves the record...
+            let registry = open(&backend);
+            assert_eq!(registry.open_latest().unwrap().generation, 2, "seed {seed}");
+            // ...so it must survive any later crash.
+            backend.power_cycle(seed);
+            let registry = open(&backend);
+            assert_eq!(registry.open_latest().unwrap().generation, 2, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn crash_at_every_publish_boundary_recovers_to_a_verified_generation() {
         for kill_op in 0..=6u64 {
             for seed in 0..8u64 {

@@ -12,11 +12,13 @@
 //! [`Registry::publish`] runs the atomic-publish protocol — blob tmp
 //! write, fsync, rename, directory fsync, journal append, journal fsync —
 //! so a crash at *any* syscall boundary leaves the registry recoverable:
-//! [`Registry::open`] truncates a torn journal tail, sweeps stray temp
-//! files, and [`Registry::open_latest`] walks generations newest-first,
-//! quarantining any blob whose checksum or fingerprint fails, until it
-//! lands on a verified generation. A generation whose publish returned
-//! `Ok` is never lost, and a quarantined blob is never served again.
+//! [`Registry::open`] truncates a torn journal tail, syncs the journal,
+//! sweeps stray temp files, and [`Registry::open_latest`] walks
+//! generations newest-first, quarantining any blob whose checksum or
+//! fingerprint fails, until it lands on a verified generation. A
+//! generation whose publish returned `Ok` is never lost, a generation
+//! recovery has served is never lost, and a quarantined blob is never
+//! served again.
 
 use std::sync::{Arc, Mutex};
 
@@ -176,8 +178,9 @@ pub struct Registry {
 
 impl Registry {
     /// Opens (and recovers) the registry stored in `backend`: lays out the
-    /// directories, truncates a torn journal tail, sweeps stray temp
-    /// files, and caches the next generation number.
+    /// directories, truncates a torn journal tail, syncs the journal so
+    /// every record it serves is durable, sweeps stray temp files, and
+    /// caches the next generation number.
     ///
     /// # Errors
     ///
@@ -212,9 +215,12 @@ impl Registry {
             let total = backend.read(JOURNAL).map_err(io(JOURNAL))?.len() as u64;
             report.truncated_bytes = total - scan.valid_len;
             backend.truncate(JOURNAL, scan.valid_len).map_err(io(JOURNAL))?;
-            backend.sync(JOURNAL).map_err(io(JOURNAL))?;
             telemetry::counter("store/journal_truncations", 1);
         }
+        // Make every record this handle will serve durable. A publish whose
+        // journal fsync failed leaves its record visible but unsynced; if
+        // recovery served it unsynced, a later crash could tear it away.
+        backend.sync(JOURNAL).map_err(io(JOURNAL))?;
         // Crash leftovers: a publish that died before its rename leaves a
         // *.tmp in the blob directory. Nothing references it; sweep it.
         for name in backend.list(BLOB_DIR).map_err(io(BLOB_DIR))? {

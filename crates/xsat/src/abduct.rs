@@ -182,11 +182,13 @@ fn features_of(enc: &ForestEncoding, lits: impl IntoIterator<Item = Lit>) -> Vec
 }
 
 impl AbductiveEngine {
-    /// Encodes `forest` and prepares a solver. The forest is cloned so the
-    /// engine can later report vote counts without a live reference.
+    /// Encodes `forest` and prepares a solver that branches only on the
+    /// interval literals. The forest is cloned so the engine can later
+    /// report vote counts without a live reference.
     pub fn new(forest: &RandomForest) -> Result<Self, XsatError> {
         let encoding = ForestEncoding::encode(forest)?;
-        let solver = Solver::from_cnf(encoding.cnf());
+        let mut solver = Solver::from_cnf(encoding.cnf());
+        solver.set_decision_vars(encoding.interval_vars());
         Ok(Self { forest: forest.clone(), encoding, solver })
     }
 

@@ -210,6 +210,14 @@ impl ForestEncoding {
         self.var_feature.get(lit.var() as usize).copied().flatten().map(|j| j as usize)
     }
 
+    /// Every interval-literal variable, feature by feature. Once these are
+    /// all assigned, unit propagation decides each leaf and vote, and
+    /// setting whatever is still unassigned false satisfies the formula,
+    /// so they are the only variables a solver needs to branch on.
+    pub(crate) fn interval_vars(&self) -> impl Iterator<Item = u32> + '_ {
+        self.features.iter().flat_map(|f| f.vars.iter().copied())
+    }
+
     /// The grid cell of feature `j` containing `value` as explicit bounds.
     pub fn interval_of(&self, j: usize, value: f32) -> FeatureInterval {
         let ts = &self.features[j].thresholds;
@@ -265,6 +273,7 @@ mod tests {
     use crate::solver::{SolveBudget, SolveOutcome, Solver};
     use drcshap_forest::RandomForestTrainer;
     use drcshap_ml::{Dataset, Trainer};
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -387,5 +396,114 @@ mod tests {
         assumptions.push(if want_hot { enc.guard_hotspot() } else { enc.guard_not_hotspot() });
         let mut solver = Solver::from_cnf(enc.cnf());
         assert_eq!(solver.solve(&assumptions, &SolveBudget::unlimited()), SolveOutcome::Sat);
+    }
+
+    /// A forest of `n_trees` trees capped at `depth` over `m` features,
+    /// labelled by a noisy linear rule over all of them so the trees split
+    /// on many features.
+    fn shaped_forest(seed: u64, n_trees: usize, depth: usize, m: usize) -> RandomForest {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let weights: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let n = 120;
+        let mut xs = Vec::with_capacity(n * m);
+        let mut ys = Vec::with_capacity(n);
+        for _ in 0..n {
+            let row: Vec<f32> = (0..m).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+            let score: f32 = row.iter().zip(&weights).map(|(a, w)| (a - 0.5) * w).sum();
+            ys.push(score + rng.gen_range(-0.2f32..0.2) > 0.0);
+            xs.extend_from_slice(&row);
+        }
+        let data = Dataset::from_parts(xs, ys, vec![0; n], m);
+        RandomForestTrainer { n_trees, max_depth: Some(depth), ..Default::default() }
+            .fit(&data, seed ^ 0x5EED)
+    }
+
+    /// A solver over `enc` that branches only on the interval literals.
+    fn restricted_solver(enc: &ForestEncoding) -> Solver {
+        let mut solver = Solver::from_cnf(enc.cnf());
+        solver.set_decision_vars(enc.interval_vars());
+        solver
+    }
+
+    /// One restricted-branching call checked against the completion
+    /// argument: a SAT answer's model, unassigned variables read false,
+    /// satisfies every clause and assumption; an UNSAT answer is confirmed
+    /// by a fresh full-branching solver.
+    fn check_restricted(
+        solver: &mut Solver,
+        enc: &ForestEncoding,
+        assumptions: &[Lit],
+    ) -> Result<(), TestCaseError> {
+        match solver.solve(assumptions, &SolveBudget::unlimited()) {
+            SolveOutcome::Sat => {
+                let holds = |l: &Lit| l.eval(solver.value(l.var()));
+                prop_assert!(assumptions.iter().all(holds), "an assumption is false in the model");
+                for clause in enc.cnf().clauses() {
+                    prop_assert!(clause.iter().any(holds), "completed model violates {clause:?}");
+                }
+            }
+            SolveOutcome::Unsat => {
+                let full =
+                    Solver::from_cnf(enc.cnf()).solve(assumptions, &SolveBudget::unlimited());
+                prop_assert!(full == SolveOutcome::Unsat, "full branching finds a model");
+            }
+            SolveOutcome::BudgetExhausted => prop_assert!(false, "unlimited budget cannot run out"),
+        }
+        Ok(())
+    }
+
+    /// A feature value: mostly in the training range, sometimes NaN or ±∞
+    /// (the encoding's unbounded cells).
+    fn feature_value() -> impl Strategy<Value = f32> {
+        (0u8..9, 0.0f32..1.0).prop_map(|(kind, v)| match kind {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Restricted branching is exact on the forest encoding. Each step
+        /// keeps a prefix of the last step's fixed features and pins more
+        /// to one row's grid cells, under either flip guard; every
+        /// call runs on a fresh restricted solver and on one persistent
+        /// restricted solver, whose kept trail and learned clauses carry
+        /// over as in the abductive engine.
+        #[test]
+        fn restricted_branching_models_complete_to_the_formula(
+            seed in any::<u64>(),
+            n_trees in 1usize..=25,
+            depth in 2usize..=6,
+            m in 2usize..=40,
+            rows in prop::collection::vec(prop::collection::vec(feature_value(), 40), 1..4),
+            steps in prop::collection::vec(
+                (0usize..40, any::<bool>(), 0usize..3, prop::collection::vec(0usize..40, 0..48)),
+                1..8,
+            ),
+        ) {
+            let forest = shaped_forest(seed, n_trees, depth, m);
+            let enc = ForestEncoding::encode(&forest).expect("encodable");
+            let mut persistent = restricted_solver(&enc);
+            let mut fixed: Vec<usize> = Vec::new();
+            for (keep, hotspot, row, extra) in &steps {
+                fixed.truncate(*keep);
+                for j in extra.iter().map(|j| j % m) {
+                    if !fixed.contains(&j) {
+                        fixed.push(j);
+                    }
+                }
+                let x = &rows[row % rows.len()];
+                let mut assumptions =
+                    vec![if *hotspot { enc.guard_hotspot() } else { enc.guard_not_hotspot() }];
+                for &j in &fixed {
+                    enc.fix_feature(j, x[j], &mut assumptions);
+                }
+                check_restricted(&mut restricted_solver(&enc), &enc, &assumptions)?;
+                check_restricted(&mut persistent, &enc, &assumptions)?;
+            }
+        }
     }
 }

@@ -26,6 +26,21 @@
 //!   `k`-th assumption, so a call keeps the levels of the assumption prefix
 //!   it shares with the previous call instead of re-planting them, and a
 //!   restart goes back to the last assumption level rather than level 0.
+//! - **Decision variables**, as MiniSat's `setDecisionVar`: search may be
+//!   restricted to a subset of the variables. The solver then answers SAT
+//!   at the first conflict-free propagation fixpoint that assigns every
+//!   decision variable, and [`Solver::value`] reads each variable still
+//!   unassigned as false. That is exact only for formulas where this
+//!   completion satisfies every clause. The forest encoding is one: once
+//!   its interval literals are set, path clauses and each tree's
+//!   at-least-one-leaf clause fix every leaf, the leaves fix the votes,
+//!   and every Sinz counter clause has at most one positive register
+//!   literal (the selector guards occur only negated), so a clause still
+//!   open at the fixpoint holds an unassigned negative literal. UNSAT
+//!   answers come from clause learning and stay exact for any decision
+//!   set. The default is every variable; only the abductive engine
+//!   restricts it, which on the benchmark's 25-tree depth-5 forest halves
+//!   the time per explanation.
 //!
 //! Every `solve` call honours a [`SolveBudget`] (conflict cap and optional
 //! wall-clock deadline) and returns [`SolveOutcome::BudgetExhausted`]
@@ -99,10 +114,13 @@ struct VarOrder {
 }
 
 impl VarOrder {
-    fn new(n_vars: u32) -> Self {
-        let heap: Vec<u32> = (0..n_vars).collect();
-        let pos: Vec<u32> = (0..n_vars).collect();
-        Self { heap, pos }
+    /// A heap holding exactly the variables `v` with `members[v]`.
+    fn of(members: &[bool], activity: &[f64]) -> Self {
+        let mut order = Self { heap: Vec::new(), pos: vec![u32::MAX; members.len()] };
+        for (v, _) in members.iter().enumerate().filter(|(_, &m)| m) {
+            order.push(activity, v as u32);
+        }
+        order
     }
 
     fn before(activity: &[f64], a: u32, b: u32) -> bool {
@@ -213,6 +231,9 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     order: VarOrder,
+    /// Per-variable: whether search may branch on it. All true unless
+    /// [`Solver::set_decision_vars`] narrowed the set.
+    decision: Vec<bool>,
     /// Saved phase per variable, kept across restarts.
     phase: Vec<bool>,
     /// Scratch for conflict analysis.
@@ -255,6 +276,8 @@ fn luby(mut i: u64) -> u64 {
 impl Solver {
     /// An empty solver over `n_vars` variables.
     pub fn new(n_vars: u32) -> Self {
+        let decision = vec![true; n_vars as usize];
+        let activity = vec![0.0; n_vars as usize];
         Self {
             n_vars,
             clauses: Vec::new(),
@@ -265,9 +288,10 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: vec![0.0; n_vars as usize],
+            order: VarOrder::of(&decision, &activity),
+            activity,
             var_inc: 1.0,
-            order: VarOrder::new(n_vars),
+            decision,
             phase: vec![false; n_vars as usize],
             seen: vec![false; n_vars as usize],
             ok: true,
@@ -298,7 +322,10 @@ impl Solver {
     }
 
     /// The value of `var` in the last satisfying assignment. Only
-    /// meaningful immediately after a [`SolveOutcome::Sat`] return.
+    /// meaningful immediately after a [`SolveOutcome::Sat`] return. A
+    /// variable the search left unassigned reads `false`; under restricted
+    /// branching (see the module docs) that completion is part of the
+    /// model.
     pub fn value(&self, var: u32) -> bool {
         self.assign[var as usize] > 0
     }
@@ -308,6 +335,21 @@ impl Solver {
     /// the formula is unsatisfiable without any assumption.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.failed
+    }
+
+    /// Restricts branching to `vars`: search decides only these, and a
+    /// conflict-free fixpoint that assigns every one of them is reported
+    /// SAT, with each variable still unassigned reading false in
+    /// [`Solver::value`]. That answer is exact only for a formula whose
+    /// clauses that fixpoint satisfies once those variables are false —
+    /// the completion property the forest encoding has (module docs).
+    /// UNSAT answers stay exact for any set.
+    pub(crate) fn set_decision_vars(&mut self, vars: impl IntoIterator<Item = u32>) {
+        self.decision.fill(false);
+        for v in vars {
+            self.decision[v as usize] = true;
+        }
+        self.order = VarOrder::of(&self.decision, &self.activity);
     }
 
     /// Makes the next decision on `lit`'s variable try `lit` first. Phase
@@ -496,7 +538,9 @@ impl Solver {
             let v = self.trail[i].var();
             self.assign[v as usize] = UNASSIGNED;
             self.reason[v as usize] = NO_REASON;
-            self.order.push(&self.activity, v);
+            if self.decision[v as usize] {
+                self.order.push(&self.activity, v);
+            }
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(target as usize);
