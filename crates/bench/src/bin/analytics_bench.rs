@@ -30,40 +30,10 @@
 use std::time::Instant;
 
 use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance};
+use drcshap_bench::{env_f64, env_usize, take_value};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let value = args[pos + 1].clone();
-    args.drain(pos..=pos + 1);
-    Some(value)
-}
 
 /// One seeded "explained request": a feature row and a SHAP-shaped φ
 /// vector — log-spread magnitudes over several decades (the shape real

@@ -28,6 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use drcshap_bench::{env_f64, env_usize, take_value};
 use drcshap_forest::{RandomForest, RandomForestTrainer};
 use drcshap_gateway::{Gateway, GatewayConfig, Request};
 use drcshap_ml::{Dataset, Trainer};
@@ -35,26 +36,6 @@ use drcshap_serve::ServeConfig;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
 
 fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> RandomForest {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -73,18 +54,6 @@ fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> RandomFores
     }
     let data = Dataset::from_parts(x, y, vec![0; rows], m);
     RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, seed)
-}
-
-/// Extracts `--flag <value>` from `args`, removing both tokens.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let value = args[pos + 1].clone();
-    args.drain(pos..=pos + 1);
-    Some(value)
 }
 
 /// One load phase: throughput plus client-observed latency quantiles.

@@ -29,6 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use drcshap_bench::{env_f64, env_usize, take_value};
 use drcshap_core::SavedModel;
 use drcshap_forest::RandomForestTrainer;
 use drcshap_ml::{Dataset, Trainer};
@@ -36,26 +37,6 @@ use drcshap_store::{FsBackend, Registry, StorageBackend};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
 
 fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> SavedModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -74,18 +55,6 @@ fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> SavedModel 
     }
     let data = Dataset::from_parts(x, y, vec![0; rows], m);
     SavedModel::Rf(RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, seed))
-}
-
-/// Extracts `--flag <value>` from `args`, removing both tokens.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let value = args[pos + 1].clone();
-    args.drain(pos..=pos + 1);
-    Some(value)
 }
 
 /// A fresh throwaway registry directory plus its opened handle.

@@ -1,18 +1,16 @@
 //! Serving-path throughput bench: per-sample `RandomForest::predict_proba`
 //! vs the serve engine's `CompiledForest::score_batch`, the NaN-aware
-//! batch path, the full micro-batching engine, and a per-kernel sweep of
-//! every [`ForestKernel`] (reference, compiled, bitvector,
-//! bitvector-quantized), reported as JSON.
+//! batch path, and the full micro-batching engine, reported as JSON.
 //!
 //! Every timed path must be *bit-identical* to the reference model — this
-//! bench verifies that on every row (and for every kernel) before timing
-//! anything and refuses to report numbers for a divergent build.
+//! bench verifies that on every row before timing anything and refuses to
+//! report numbers for a divergent build.
 //!
 //! ```text
 //! cargo run --release -p drcshap-bench --bin serve_bench [-- --out BENCH_serve.json]
 //! # CI regression gate against a committed baseline
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --gate BENCH_serve.json
-//! # record the engine's flush + per-kernel spans as a Chrome trace
+//! # record the engine's flush and `kernel/compiled` spans as a Chrome trace
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --trace serve.json --stats
 //! ```
 //!
@@ -26,47 +24,26 @@
 //! features, batch) differ from this run's environment knobs — comparing
 //! runs at different knobs is meaningless — when the baseline was not
 //! bit-identical, when the baseline's `compiled_batch_per_s` is null or
-//! non-positive (a placeholder that never got regenerated), when the
-//! baseline's `kernels` section is missing, non-bit-identical, or holds a
-//! null/placeholder best throughput, or when fresh compiled (or fresh
-//! best-kernel) throughput regresses more than `DRCSHAP_BENCH_TOLERANCE`
+//! non-positive (a placeholder that never got regenerated), or when fresh
+//! compiled throughput regresses more than `DRCSHAP_BENCH_TOLERANCE`
 //! (default 0.25, i.e. 25%) below the baseline.
 //!
 //! Environment knobs: `DRCSHAP_SERVE_TREES` (default 100),
 //! `DRCSHAP_SERVE_FEATURES` (default 64), `DRCSHAP_SERVE_SAMPLES`
 //! (default 4096, also the batch size; the acceptance floor is 256), and
 //! `DRCSHAP_SERVE_DEPTH` (max tree depth; default 0 = unpruned — small
-//! depths are the shape the bitvector kernels favor).
+//! depths sweep the tree size the compiled walk is measured at).
 
 use std::time::{Duration, Instant};
 
+use drcshap_bench::{env_f64, env_usize, take_value};
 use drcshap_forest::{RandomForest, RandomForestTrainer};
 use drcshap_ml::{Dataset, NanPolicy, Trainer};
-use drcshap_serve::{CompiledForest, ForestKernel, KernelDispatch, ServeConfig, ServeEngine};
+use drcshap_serve::{CompiledForest, ServeConfig, ServeEngine};
 use drcshap_telemetry as telemetry;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    match std::env::var(name) {
-        Ok(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {s:?} for {name}");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
 
 /// Runs `body` (which processes `per_call` samples) until ~0.5 s of wall
 /// clock is spent, after one warmup call; returns samples/second.
@@ -107,18 +84,6 @@ fn train_forest(
     RandomForestTrainer { n_trees, max_depth, ..Default::default() }.fit(&data, seed)
 }
 
-/// Extracts `--flag <value>` from `args`, removing both tokens.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let value = args[pos + 1].clone();
-    args.drain(pos..=pos + 1);
-    Some(value)
-}
-
 /// A finite, positive throughput from a baseline field — anything else
 /// (missing, null, zero, the unregenerated placeholder) is `None`.
 fn baseline_throughput(report: &serde_json::Value, field: &str) -> Option<f64> {
@@ -146,10 +111,9 @@ fn gate_compare(what: &str, fresh: f64, base: f64, tolerance: f64) {
 
 /// The CI regression gate: fresh vs committed baseline. Refuses (exit 1)
 /// a baseline recorded at different knobs than this run — the two are not
-/// comparable — then fails on a null/placeholder baseline, a
-/// non-bit-identical baseline (top-level or any kernel entry), a missing
-/// or placeholder `kernels` section, or a fresh compiled / best-kernel
-/// throughput more than `tolerance` below the baseline.
+/// comparable — then fails on a null/placeholder or non-bit-identical
+/// baseline, or a fresh compiled throughput more than `tolerance` below
+/// the baseline.
 fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
     let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
         eprintln!("gate: cannot read baseline {baseline_path}: {e}");
@@ -189,47 +153,6 @@ fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
     };
     let fresh_compiled = fresh["compiled_batch_per_s"].as_f64().expect("fresh report is complete");
     gate_compare("compiled", fresh_compiled, base_compiled, tolerance);
-    // The kernels section: every kernel entry must have been bit-identical
-    // when the baseline was recorded, and the best kernel must not regress.
-    let Some(base_kernels) = baseline.get("kernels").and_then(serde_json::Value::as_object) else {
-        eprintln!(
-            "gate: baseline {baseline_path} has no kernels section — regenerate it with \
-             `serve_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    for kernel in ForestKernel::ALL {
-        let entry = base_kernels.get(kernel.name());
-        let identical = entry
-            .and_then(|e| e.get("bit_identical"))
-            .and_then(serde_json::Value::as_bool)
-            .unwrap_or(false);
-        let per_s = entry
-            .and_then(|e| e.get("per_s"))
-            .and_then(serde_json::Value::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0);
-        if !identical || per_s.is_none() {
-            eprintln!(
-                "gate: baseline {baseline_path} kernels.{} is missing, not bit-identical, or \
-                 a null/placeholder entry — regenerate the baseline",
-                kernel.name()
-            );
-            std::process::exit(1);
-        }
-    }
-    let base_best = base_kernels
-        .get("best_per_s")
-        .and_then(serde_json::Value::as_f64)
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .unwrap_or_else(|| {
-            eprintln!(
-                "gate: baseline {baseline_path} kernels.best_per_s is null or non-positive — \
-                 regenerate the baseline"
-            );
-            std::process::exit(1);
-        });
-    let fresh_best = fresh["kernels"]["best_per_s"].as_f64().expect("fresh report is complete");
-    gate_compare("best-kernel", fresh_best, base_best, tolerance);
     eprintln!("gate: PASS");
 }
 
@@ -256,8 +179,8 @@ fn main() {
     let n_trees = env_usize("DRCSHAP_SERVE_TREES", 100);
     let m = env_usize("DRCSHAP_SERVE_FEATURES", 64);
     let batch = env_usize("DRCSHAP_SERVE_SAMPLES", 4096);
-    // 0 = unpruned (the paper's setting). Depth-limited forests are the
-    // shape the bitvector kernels are built for (see DESIGN.md §16).
+    // 0 = unpruned (the paper's setting). Depth caps sweep tree size
+    // (see DESIGN.md §16).
     let depth = env_usize("DRCSHAP_SERVE_DEPTH", 0);
     let max_depth = if depth == 0 { None } else { Some(depth) };
     let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
@@ -316,65 +239,6 @@ fn main() {
         std::hint::black_box(compiled.score_batch_nan_aware(&flat_nan));
     });
 
-    // Per-kernel sweep: build every kernel, verify it bit-identical on the
-    // probe batch (plain and NaN-aware), then time both paths. Each timed
-    // region runs under the kernel's telemetry span so `--trace` yields a
-    // per-kernel Chrome trace.
-    let mut kernels = serde_json::Map::new();
-    let mut best: Option<(ForestKernel, f64)> = None;
-    for kernel in ForestKernel::ALL {
-        let dispatch = KernelDispatch::build(&rf, kernel).unwrap_or_else(|e| {
-            eprintln!("error: building kernel {kernel}: {e}");
-            std::process::exit(1);
-        });
-        let plain = dispatch.score_batch(&rf, &compiled, &flat, false);
-        let nan = dispatch.score_batch(&rf, &compiled, &flat_nan, true);
-        for i in 0..batch {
-            assert_eq!(
-                plain[i].to_bits(),
-                batch_scores[i].to_bits(),
-                "kernel {kernel} diverges from predict_proba at row {i}"
-            );
-            assert_eq!(
-                nan[i].to_bits(),
-                nan_scores[i].to_bits(),
-                "kernel {kernel} NaN-aware diverges at row {i}"
-            );
-        }
-        let per_s = throughput(batch, || {
-            let _span = telemetry::span(kernel.span_name());
-            std::hint::black_box(dispatch.score_batch(&rf, &compiled, &flat, false));
-        });
-        let nan_per_s = throughput(batch, || {
-            let _span = telemetry::span(kernel.span_name());
-            std::hint::black_box(dispatch.score_batch(&rf, &compiled, &flat_nan, true));
-        });
-        eprintln!("kernel {kernel}: {per_s:.3e}/s plain, {nan_per_s:.3e}/s NaN-aware");
-        kernels.insert(
-            kernel.name().to_string(),
-            serde_json::json!({
-                "per_s": per_s,
-                "nan_aware_per_s": nan_per_s,
-                "bit_identical": true,
-            }),
-        );
-        if best.is_none_or(|(_, b)| per_s > b) {
-            best = Some((kernel, per_s));
-        }
-    }
-    let (best_kernel, best_per_s) = best.expect("at least one kernel ran");
-    let bitvector_per_s = kernels["bitvector"]["per_s"].as_f64().expect("bitvector timed");
-    kernels.insert("best".to_string(), serde_json::json!(best_kernel.name()));
-    kernels.insert("best_per_s".to_string(), serde_json::json!(best_per_s));
-    kernels.insert(
-        "bitvector_speedup_vs_compiled".to_string(),
-        serde_json::json!(bitvector_per_s / compiled_tp),
-    );
-    eprintln!(
-        "best kernel: {best_kernel} at {best_per_s:.3e}/s (bitvector {:.2}x compiled-batch)",
-        bitvector_per_s / compiled_tp
-    );
-
     // The whole engine, queueing included: submit the batch as individual
     // requests through a sliding window and wait them all out.
     let config = ServeConfig {
@@ -413,20 +277,15 @@ fn main() {
         "speedup_compiled_vs_single": speedup,
         "engine_mean_batch": metrics.mean_batch,
         "engine_latency_p99_us": metrics.latency_p99_us,
-        "kernels": serde_json::Value::Object(kernels),
         "bit_identical": true,
     });
     let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
     println!("{pretty}");
     if let Some(path) = out_path {
         // Never overwrite a baseline with numbers the gate would reject.
-        for (field, value) in [
-            ("single", single),
-            ("compiled", compiled_tp),
-            ("nan", nan_tp),
-            ("engine", engine_tp),
-            ("best-kernel", best_per_s),
-        ] {
+        for (field, value) in
+            [("single", single), ("compiled", compiled_tp), ("nan", nan_tp), ("engine", engine_tp)]
+        {
             if !value.is_finite() || value <= 0.0 {
                 eprintln!("error: refusing to write {path}: {field} throughput is {value}");
                 std::process::exit(1);

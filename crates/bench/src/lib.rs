@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
-//! Shared harness utilities for the table/figure regeneration binaries and
-//! Criterion benches: environment-driven configuration and the paper's
-//! published numbers for side-by-side reporting.
+//! Shared harness utilities for the table/figure regeneration binaries,
+//! the gated throughput benches and the Criterion benches:
+//! environment-driven configuration, bench knob and flag parsing, the
+//! host stamp, and the paper's published numbers for side-by-side
+//! reporting.
 //!
 //! Environment knobs (shared by all binaries):
 //!
@@ -53,6 +55,43 @@ pub fn env_families() -> Vec<ModelFamily> {
             })
             .collect(),
     }
+}
+
+/// Reads a `usize` bench knob from the environment variable `name`,
+/// `default` when unset. A malformed value prints an error and exits
+/// with status 2.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    env_parse(name, default)
+}
+
+/// Reads an `f64` bench knob from the environment variable `name`,
+/// `default` when unset. A malformed value prints an error and exits
+/// with status 2.
+pub fn env_f64(name: &str, default: f64) -> f64 {
+    env_parse(name, default)
+}
+
+fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("error: bad value {s:?} for {name}");
+            std::process::exit(2);
+        }),
+        Err(_) => default,
+    }
+}
+
+/// Extracts `--flag <value>` from `args`, removing both tokens. A flag
+/// without a value prints an error and exits with status 2.
+pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    if pos + 1 >= args.len() {
+        eprintln!("error: {flag} needs a value");
+        std::process::exit(2);
+    }
+    let value = args[pos + 1].clone();
+    args.drain(pos..=pos + 1);
+    Some(value)
 }
 
 /// The host a bench report's numbers come from: the CPUs usable by this

@@ -65,9 +65,10 @@ impl Default for RandomForestTrainer {
 impl Trainer for RandomForestTrainer {
     type Model = RandomForest;
 
-    /// Trains `n_trees` trees on bootstrap resamples, in parallel. The
-    /// result is deterministic for a given `seed` regardless of thread
-    /// scheduling (each tree derives its own RNG stream).
+    /// Trains `n_trees` trees on bootstrap resamples, one after another:
+    /// the vendored rayon stand-in runs `into_par_iter` sequentially on the
+    /// calling thread. The result is deterministic for a given `seed`
+    /// (each tree derives its own RNG stream).
     fn fit(&self, data: &Dataset, seed: u64) -> RandomForest {
         assert!(self.n_trees > 0, "forest needs at least one tree");
         assert!(data.n_samples() > 0, "empty training set");

@@ -41,7 +41,6 @@ use drcshap_telemetry as telemetry;
 use drcshap_xsat::{AbductiveEngine, AbductiveExplanation, XsatBudget};
 
 use crate::cache::ExplanationCache;
-use crate::kernel::ForestKernel;
 use crate::metrics::{MetricsRegistry, ServeMetrics};
 use crate::swap::{EpochCell, ModelEpoch};
 
@@ -62,10 +61,6 @@ pub struct ServeConfig {
     pub nan_policy: NanPolicy,
     /// Explanation-cache capacity (0 disables caching).
     pub cache_capacity: usize,
-    /// Scoring kernel override (the CLI's `--kernel`). `None` defers to
-    /// the `DRCSHAP_KERNEL` environment variable, then to
-    /// [`ForestKernel::auto`] (`compiled`).
-    pub kernel: Option<ForestKernel>,
     /// Streaming explanation analytics. `None` (the default) disables the
     /// sink entirely — the explain path then pays a single branch, no
     /// locks, no allocation.
@@ -81,7 +76,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8),
             nan_policy: NanPolicy::default(),
             cache_capacity: 1024,
-            kernel: None,
             analytics: None,
         }
     }
@@ -227,10 +221,8 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// A usage error from [`ServeConfig::validate`], a kernel-resolution
-    /// or kernel-build usage error (unknown `DRCSHAP_KERNEL`, or an
-    /// explicitly requested kernel the forest is ineligible for), or an
-    /// I/O error if a worker thread cannot be spawned.
+    /// A usage error from [`ServeConfig::validate`], or an I/O error if a
+    /// worker thread cannot be spawned.
     pub fn start(
         config: ServeConfig,
         forest: RandomForest,
@@ -238,7 +230,6 @@ impl ServeEngine {
     ) -> Result<Self, DrcshapError> {
         config.validate()?;
         let cache_capacity = config.cache_capacity;
-        let kernel = ForestKernel::resolve(config.kernel, &forest)?;
         let analytics = match &config.analytics {
             Some(cfg) => Some(AnalyticsState {
                 sharded: ShardedAnalytics::new(cfg.clone(), 1)?,
@@ -252,7 +243,7 @@ impl ServeEngine {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState::default()),
             flush: Condvar::new(),
-            cell: EpochCell::with_kernel(forest, fingerprint, kernel)?,
+            cell: EpochCell::new(forest, fingerprint),
             cache: ExplanationCache::new(cache_capacity),
             metrics: MetricsRegistry::default(),
             abductive: Mutex::new(None),
@@ -301,11 +292,6 @@ impl ServeEngine {
     /// The currently serving model epoch.
     pub fn model(&self) -> Arc<ModelEpoch> {
         self.shared.cell.load()
-    }
-
-    /// The scoring kernel every batch of this engine runs through.
-    pub fn kernel(&self) -> ForestKernel {
-        self.shared.cell.kernel()
     }
 
     /// Validates `x` under the configured [`NanPolicy`] and enqueues it,
@@ -655,11 +641,7 @@ impl ServeEngine {
 
     /// Snapshots the serving metrics.
     pub fn metrics(&self) -> ServeMetrics {
-        self.shared.metrics.snapshot(
-            self.shared.cache.stats(),
-            self.shared.cell.epoch(),
-            self.shared.cell.kernel().name(),
-        )
+        self.shared.metrics.snapshot(self.shared.cache.stats(), self.shared.cell.epoch())
     }
 
     /// Stops admissions, drains every queued request through the workers,

@@ -21,34 +21,23 @@
 //!   counters, cache hit rate, queue depth, and log-bucketed latency
 //!   quantiles.
 //!
-//! Scoring runs through one of four interchangeable *kernels* — see
-//! [`ForestKernel`]: the reference per-row walk, the compiled packed-node
-//! traversal, the QuickScorer-style branchless [`BitVectorForest`], and
-//! the threshold-set-binned [`QuantizedForest`]. All four are
-//! bit-identical to the reference paths; `compiled` serves unless a
-//! `--kernel` / `DRCSHAP_KERNEL` override picks another.
+//! Every batch is scored by the epoch's [`CompiledForest`]; the
+//! reference `RandomForest::predict_proba` / `predict_proba_nan_aware`
+//! stays the differential oracle it is checked against.
 //!
 //! The binary surface lives in the root crate (`drcshap serve`) and in
 //! `drcshap-bench` (`serve_bench`); this crate is the library they share.
 
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
-pub mod bitvector;
 pub mod cache;
 pub mod compiled;
 pub mod engine;
-pub mod kernel;
-pub mod lanes;
 pub mod metrics;
-pub mod quantize;
 pub mod swap;
 
-pub use bitvector::BitVectorForest;
 pub use cache::{CacheStats, ExplanationCache};
 pub use compiled::CompiledForest;
 pub use engine::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
-pub use kernel::{ForestKernel, KernelDispatch, KERNEL_ENV};
 pub use metrics::{LatencyHistogram, MetricsRegistry, ServeMetrics};
-pub use quantize::{FeatureBins, QuantizedForest};
 pub use swap::{EpochCell, ModelEpoch};

@@ -105,18 +105,11 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Snapshots every counter, combining the engine-side numbers with the
-    /// explanation cache's hit/miss counters, the current model epoch, and
-    /// the active scoring kernel.
-    pub fn snapshot(
-        &self,
-        cache: crate::cache::CacheStats,
-        model_epoch: u64,
-        kernel: &str,
-    ) -> ServeMetrics {
+    /// explanation cache's hit/miss counters and the current model epoch.
+    pub fn snapshot(&self, cache: crate::cache::CacheStats, model_epoch: u64) -> ServeMetrics {
         let batches = self.batches.load(Ordering::Relaxed);
         let samples = self.samples.load(Ordering::Relaxed);
         ServeMetrics {
-            kernel: kernel.to_string(),
             requests_total: self.requests.load(Ordering::Relaxed),
             rejected_total: self.rejected.load(Ordering::Relaxed),
             deadline_shed_total: self.deadline_shed.load(Ordering::Relaxed),
@@ -146,9 +139,6 @@ impl MetricsRegistry {
 /// `drcshap serve --stats` prints as JSON.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeMetrics {
-    /// Name of the scoring kernel batches run through (see
-    /// [`crate::ForestKernel`]).
-    pub kernel: String,
     /// Requests accepted into the queue.
     pub requests_total: u64,
     /// Requests shed with `Overloaded` backpressure.
@@ -211,10 +201,9 @@ impl std::fmt::Display for ServeMetrics {
         )?;
         writeln!(
             f,
-            "model epoch {} ({} swaps, kernel {}), explains {} (cache {:.0}% of {} lookups)",
+            "model epoch {} ({} swaps), explains {} (cache {:.0}% of {} lookups)",
             self.model_epoch,
             self.swaps_total,
-            self.kernel,
             self.explains_total,
             self.cache_hit_rate * 100.0,
             self.cache_hits + self.cache_misses
@@ -273,9 +262,8 @@ mod tests {
         m.batches.store(4, Ordering::Relaxed);
         m.samples.store(10, Ordering::Relaxed);
         let cache = crate::cache::CacheStats { hits: 3, misses: 1, len: 2, capacity: 8 };
-        let snap = m.snapshot(cache, 2, "bitvector");
+        let snap = m.snapshot(cache, 2);
         assert_eq!(snap.model_epoch, 2);
-        assert_eq!(snap.kernel, "bitvector");
         assert!((snap.mean_batch - 2.5).abs() < 1e-12);
         assert!((snap.cache_hit_rate - 0.75).abs() < 1e-12);
         let json = serde_json::to_string(&snap).expect("serializable");

@@ -16,12 +16,10 @@ use drcshap_ml::{DrcshapError, SchemaError};
 use drcshap_telemetry as telemetry;
 
 use crate::compiled::CompiledForest;
-use crate::kernel::{ForestKernel, KernelDispatch};
 
 /// One immutable generation of the serving model: the reference forest
-/// (kept for SHAP explanations), its compiled inference layout, the
-/// scoring kernel built for it, and the identity it was validated
-/// against.
+/// (kept for SHAP explanations), its compiled inference layout, and the
+/// identity it was validated against.
 #[derive(Debug)]
 pub struct ModelEpoch {
     /// Monotonically increasing epoch number; the initial model is 1.
@@ -30,29 +28,30 @@ pub struct ModelEpoch {
     pub fingerprint: u64,
     /// The reference forest (exact SHAP, expected value).
     pub forest: RandomForest,
-    /// The compiled batched-inference layout (always built: it anchors
-    /// the NaN-aware path whichever kernel scores plain batches).
+    /// The compiled batched-inference layout every batch is scored by.
     pub compiled: CompiledForest,
-    /// The scoring kernel this epoch's batches run through.
-    pub kernel: KernelDispatch,
 }
 
 impl ModelEpoch {
-    /// Scores a row-major batch through this epoch's kernel, under a
-    /// per-kernel telemetry span. Plain batches are bit-identical to
-    /// `RandomForest::predict_proba` per row, `nan_aware` ones to
-    /// `predict_proba_nan_aware`.
+    /// Scores a row-major batch through this epoch's compiled forest,
+    /// under the `kernel/compiled` telemetry span. Plain batches are
+    /// bit-identical to `RandomForest::predict_proba` per row, `nan_aware`
+    /// ones to `predict_proba_nan_aware`.
     ///
     /// # Panics
     ///
     /// Panics if `flat.len()` is not a multiple of the feature count.
     pub fn score_batch(&self, flat: &[f32], nan_aware: bool) -> Vec<f64> {
-        let _span = telemetry::span(self.kernel.choice().span_name());
+        let _span = telemetry::span("kernel/compiled");
         telemetry::counter(
             "serve/kernel_rows",
             (flat.len() / self.compiled.n_features().max(1)) as u64,
         );
-        self.kernel.score_batch(&self.forest, &self.compiled, flat, nan_aware)
+        if nan_aware {
+            self.compiled.score_batch_nan_aware(flat)
+        } else {
+            self.compiled.score_batch(flat)
+        }
     }
 }
 
@@ -64,43 +63,15 @@ pub struct EpochCell {
     current: RwLock<Arc<ModelEpoch>>,
     /// Cached copy of the live epoch number, readable without the lock.
     epoch: AtomicU64,
-    /// The kernel choice the cell was created with; every swap rebuilds
-    /// this same kernel for the replacement forest.
-    kernel: ForestKernel,
 }
 
 impl EpochCell {
     /// Compiles `forest` and installs it as epoch 1, bound to
-    /// `fingerprint` as the cell's schema identity, scoring through
-    /// [`ForestKernel::auto`] (`compiled`).
+    /// `fingerprint` as the cell's schema identity.
     pub fn new(forest: RandomForest, fingerprint: u64) -> Self {
-        let kernel = ForestKernel::auto(&forest);
-        Self::with_kernel(forest, fingerprint, kernel).expect("the compiled kernel always builds")
-    }
-
-    /// [`EpochCell::new`] with an explicit kernel choice, kept across
-    /// every subsequent swap.
-    ///
-    /// # Errors
-    ///
-    /// The [`KernelDispatch::build`] eligibility error (an explicitly
-    /// requested quantized kernel whose forest overflows the bin-id
-    /// space).
-    pub fn with_kernel(
-        forest: RandomForest,
-        fingerprint: u64,
-        kernel: ForestKernel,
-    ) -> Result<Self, DrcshapError> {
         let compiled = CompiledForest::compile(&forest);
-        let dispatch = KernelDispatch::build(&forest, kernel)?;
-        let initial =
-            Arc::new(ModelEpoch { epoch: 1, fingerprint, forest, compiled, kernel: dispatch });
-        Ok(Self { current: RwLock::new(initial), epoch: AtomicU64::new(1), kernel })
-    }
-
-    /// The kernel choice every epoch of this cell is built with.
-    pub fn kernel(&self) -> ForestKernel {
-        self.kernel
+        let initial = Arc::new(ModelEpoch { epoch: 1, fingerprint, forest, compiled });
+        Self { current: RwLock::new(initial), epoch: AtomicU64::new(1) }
     }
 
     /// The currently serving epoch.
@@ -141,10 +112,7 @@ impl EpochCell {
         }
         let epoch = guard.epoch + 1;
         let compiled = CompiledForest::compile(&forest);
-        // Rebuild the same kernel for the replacement; a build failure
-        // (ineligible explicit kernel) leaves the serving model untouched.
-        let kernel = KernelDispatch::build(&forest, self.kernel)?;
-        *guard = Arc::new(ModelEpoch { epoch, fingerprint, forest, compiled, kernel });
+        *guard = Arc::new(ModelEpoch { epoch, fingerprint, forest, compiled });
         self.epoch.store(epoch, Ordering::Release);
         Ok(epoch)
     }

@@ -4,9 +4,11 @@
 //! `predict_proba_nan_aware` on every input, and `score_one` must equal
 //! the batch on every row. The forests cover the shapes the eight-tree
 //! lane walk depends on: 1–20 trees (so one or more full lane groups plus a
-//! partial one), deep unbalanced trees, depth-capped trees whose impure
-//! leaves make the summation order visible, and single-leaf trees; the
-//! rows include NaN and ±inf on the plain path too, where NaN goes right.
+//! partial one), deep unbalanced trees, depth-capped trees (stumps
+//! included) whose impure leaves make the summation order visible, and
+//! single-leaf trees; the rows include NaN and ±inf on the plain path
+//! too, where NaN goes right, and values on the forest's own thresholds
+//! and one ulp either side of them.
 //! Bit-equality (not tolerance) is the contract: the serving path may
 //! never drift from the model the paper's numbers come from.
 
@@ -197,14 +199,15 @@ proptest! {
         check_bit_exact(&rf, &rows)?;
     }
 
-    /// Depth-capped trees: impure leaves hold fractions whose sum depends
-    /// on the order it is taken in, so a walk that added its lanes out of
-    /// tree order would drift from the reference.
+    /// Depth-capped trees, depth-1 stumps included: impure leaves hold
+    /// fractions whose sum depends on the order it is taken in, so a walk
+    /// that added its lanes out of tree order would drift from the
+    /// reference.
     #[test]
     fn capped_forests_sum_leaves_in_tree_order(
         seed in 0u64..3,
         n_trees in 2usize..=20,
-        max_depth in 2usize..=5,
+        max_depth in 1usize..=5,
         rows in prop::collection::vec(prop::collection::vec(value(), N_FEATURES), 1..40),
     ) {
         check_bit_exact(&noisy_forest(seed, n_trees, Some(max_depth)), &rows)?;
@@ -236,6 +239,45 @@ fn single_leaf_trees_are_bit_exact() {
     let leaves = mixed.trees().iter().filter(|t| t.nodes().len() == 1).count();
     assert!(0 < leaves && leaves < 20, "{leaves} of 20 trees are single leaves");
     check_bit_exact(&mixed, &rows).unwrap_or_else(|e| panic!("mixed forest: {e}"));
+}
+
+/// Degenerate and deep shapes: depth-1 stumps (one split per tree), a
+/// single tree (no averaging) and depth-10 trees on noisy labels.
+#[test]
+fn degenerate_and_deep_shapes_are_bit_exact() {
+    let probes: Vec<Vec<f32>> = (0..48)
+        .map(|i| (0..N_FEATURES).map(|j| ((i * 31 + j * 7) % 53) as f32 / 53.0).collect())
+        .collect();
+    let stumps = noisy_forest(7, 5, Some(1));
+    assert!(stumps.trees().iter().all(|t| t.depth() == 1));
+    let single = forest(8, 1);
+    assert_eq!(single.trees().len(), 1);
+    let deep = noisy_forest(9, 3, Some(10));
+    assert!(deep.trees().iter().all(|t| t.depth() == 10));
+    for (label, rf) in [("stumps", stumps), ("single-tree", single), ("deep", deep)] {
+        check_bit_exact(&rf, &probes).unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// Probes exactly on the forest's own split thresholds and one ulp to
+/// either side: `x[f] <= t` sends the threshold itself left and its upper
+/// neighbour right, so a `<` for `<=` slip in the walk shows here first.
+#[test]
+fn threshold_equal_probes_are_bit_exact() {
+    for seed in 0..3u64 {
+        let rf = forest(seed, 6);
+        let mut rows = Vec::new();
+        for tree in rf.trees() {
+            for node in tree.nodes().iter().filter(|n| !n.is_leaf()) {
+                for v in [node.threshold, node.threshold.next_up(), node.threshold.next_down()] {
+                    let mut row = vec![0.5f32; N_FEATURES];
+                    row[node.feature as usize] = v;
+                    rows.push(row);
+                }
+            }
+        }
+        check_bit_exact(&rf, &rows).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
 }
 
 /// Batch sizes at and around powers of two must all agree with per-row

@@ -58,7 +58,6 @@ fn frozen_config(queue_capacity: usize) -> ServeConfig {
         workers: 1,
         nan_policy: NanPolicy::Reject,
         cache_capacity: 16,
-        kernel: None,
         analytics: None,
     }
 }
@@ -165,7 +164,6 @@ fn hot_swap_under_load_never_drops_or_mixes_requests() {
         workers: 2,
         nan_policy: NanPolicy::Reject,
         cache_capacity: 0,
-        kernel: None,
         analytics: None,
     };
     let engine = Arc::new(ServeEngine::start(config, model_a.clone(), 7).expect("start"));
@@ -245,7 +243,6 @@ fn submit_racing_shutdown_is_answered_or_typed_never_dropped() {
             workers: 2,
             nan_policy: NanPolicy::Reject,
             cache_capacity: 0,
-            kernel: None,
             analytics: None,
         };
         let engine = Arc::new(ServeEngine::start(config, rf, 7).expect("start"));

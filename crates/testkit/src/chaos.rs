@@ -177,7 +177,6 @@ pub fn chaos_soak(seed: u64, config: &ChaosConfig) -> Result<ChaosReport, String
         workers: 2,
         nan_policy: NanPolicy::NanAware,
         cache_capacity: 64,
-        kernel: None,
         analytics: None,
     };
     let engine = ServeEngine::start(serve_config, variants[0].clone(), fingerprint)

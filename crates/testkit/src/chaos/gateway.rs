@@ -269,7 +269,6 @@ pub fn gateway_chaos_soak(
             workers: 2,
             nan_policy: NanPolicy::NanAware,
             cache_capacity: 64,
-            kernel: None,
             analytics: None,
         },
         // Tight quotas make sustained client pressure trip the typed

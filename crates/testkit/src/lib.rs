@@ -45,7 +45,7 @@ pub mod xsat;
 pub use chaos::gateway::{gateway_chaos_soak, GatewayChaosConfig, GatewayChaosReport};
 pub use chaos::{chaos_soak, ChaosConfig, ChaosReport};
 pub use crash::{crash_soak, CrashSoakConfig, CrashSoakReport};
-pub use oracle::{registry, Check, Failure, KERNEL_PIN_ENV, NAN_POLICY_PIN_ENV};
+pub use oracle::{registry, Check, Failure};
 pub use scenario::SizeLevel;
 pub use xsat::checks as xsat_checks;
 

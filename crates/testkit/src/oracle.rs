@@ -16,7 +16,7 @@
 use drcshap_core::artifact::crc32;
 use drcshap_forest::{DecisionTree, RandomForest, RandomForestTrainer};
 use drcshap_ml::{metrics, Dataset, NanPolicy, Trainer};
-use drcshap_serve::{CompiledForest, ForestKernel, KernelDispatch, ServeConfig, ServeEngine};
+use drcshap_serve::{CompiledForest, ServeConfig, ServeEngine};
 use drcshap_shap::{exact::exact_shap, explain_forest, tree_shap};
 use rand::Rng;
 
@@ -166,45 +166,11 @@ fn check_compiled_nan_aware_vs_reference(seed: u64, level: SizeLevel) -> Result<
     Ok(())
 }
 
-/// Env var pinning the kernel sweeps to one kernel (`reference`,
-/// `compiled`, `bitvector`, `bitvector-quantized`). The CI
-/// kernel-conformance matrix sets it so each job exercises exactly one
-/// cell; unset, every check sweeps all kernels.
-pub const KERNEL_PIN_ENV: &str = "DRCSHAP_TESTKIT_KERNEL";
-
-/// Env var pinning the NaN-policy sweeps to one policy (`reject`,
-/// `impute-zero`, `nan-aware`). Unset, every policy is exercised.
-pub const NAN_POLICY_PIN_ENV: &str = "DRCSHAP_TESTKIT_NAN_POLICY";
-
-/// The kernels a sweep covers: the [`KERNEL_PIN_ENV`] pin if set, else
-/// all of them. An unparseable pin is a check failure (a typo in a CI
-/// matrix must not silently pass by testing nothing).
-fn pinned_kernels() -> Result<Vec<ForestKernel>, String> {
-    match std::env::var(KERNEL_PIN_ENV) {
-        Ok(s) => Ok(vec![s.parse().map_err(|e| format!("{KERNEL_PIN_ENV}: {e}"))?]),
-        Err(_) => Ok(ForestKernel::ALL.to_vec()),
-    }
-}
-
-/// The NaN policies a sweep covers: the [`NAN_POLICY_PIN_ENV`] pin if
-/// set, else all of them.
-fn pinned_nan_policies() -> Result<Vec<NanPolicy>, String> {
-    match std::env::var(NAN_POLICY_PIN_ENV) {
-        Ok(s) => match s.as_str() {
-            "reject" => Ok(vec![NanPolicy::Reject]),
-            "impute-zero" => Ok(vec![NanPolicy::ImputeZero]),
-            "nan-aware" => Ok(vec![NanPolicy::NanAware]),
-            other => Err(format!("{NAN_POLICY_PIN_ENV}: unknown NaN policy {other:?}")),
-        },
-        Err(_) => Ok(vec![NanPolicy::Reject, NanPolicy::ImputeZero, NanPolicy::NanAware]),
-    }
-}
-
-/// The shared body of the kernel differential oracles: every (pinned)
-/// kernel must reproduce `predict_proba` / `predict_proba_nan_aware`
-/// bit for bit on random probes, NaN/±∞-laced probes, and probes sitting
-/// exactly on the forest's own split thresholds (where a binning or
-/// comparison drift would first show).
+/// The shared body of the kernel differential oracles: the compiled
+/// forest must reproduce `predict_proba` / `predict_proba_nan_aware` bit
+/// for bit on random probes, NaN/±∞-laced probes, and probes sitting
+/// exactly on the forest's own split thresholds (where a comparison drift
+/// would first show).
 fn run_kernel_differential(
     forest: &RandomForest,
     shape: &str,
@@ -228,25 +194,21 @@ fn run_kernel_differential(
         }
     }
     let laced = scenario::probes(&mut rng, m, level.n_probes(), true);
-    for kernel in pinned_kernels()? {
-        let dispatch = KernelDispatch::build(forest, kernel)
-            .map_err(|e| format!("{shape}: building kernel {kernel}: {e}"))?;
-        for (nan_aware, probe_set) in [(false, &plain), (true, &laced)] {
-            let flat: Vec<f32> = probe_set.iter().flatten().copied().collect();
-            let scores = dispatch.score_batch(forest, &compiled, &flat, nan_aware);
-            for (p, x) in probe_set.iter().enumerate() {
-                let want = if nan_aware {
-                    forest.predict_proba_nan_aware(x)
-                } else {
-                    forest.predict_proba(x)
-                };
-                if scores[p].to_bits() != want.to_bits() {
-                    return Err(format!(
-                        "{shape}: kernel {kernel} probe {p} (nan_aware={nan_aware}): {} vs \
-                         reference {want}",
-                        scores[p]
-                    ));
-                }
+    for (nan_aware, probe_set) in [(false, &plain), (true, &laced)] {
+        let flat: Vec<f32> = probe_set.iter().flatten().copied().collect();
+        let scores = if nan_aware {
+            compiled.score_batch_nan_aware(&flat)
+        } else {
+            compiled.score_batch(&flat)
+        };
+        for (p, x) in probe_set.iter().enumerate() {
+            let want =
+                if nan_aware { forest.predict_proba_nan_aware(x) } else { forest.predict_proba(x) };
+            if scores[p].to_bits() != want.to_bits() {
+                return Err(format!(
+                    "{shape}: compiled probe {p} (nan_aware={nan_aware}): {} vs reference {want}",
+                    scores[p]
+                ));
             }
         }
     }
@@ -265,59 +227,52 @@ fn check_kernel_degenerate_shapes(seed: u64, level: SizeLevel) -> Result<(), Str
     Ok(())
 }
 
-/// End-to-end: a [`ServeEngine`] pinned to each (kernel, NaN-policy)
-/// combination must serve scores bit-identical to that policy's reference
-/// semantics — reject sees only finite rows, impute-zero scores the
-/// zero-filled row, nan-aware takes the default-direction path.
+/// End-to-end: a [`ServeEngine`] under each NaN policy must serve scores
+/// bit-identical to that policy's reference semantics — reject sees only
+/// finite rows, impute-zero scores the zero-filled row, nan-aware takes
+/// the default-direction path.
 fn check_serve_kernel_policies(seed: u64, level: SizeLevel) -> Result<(), String> {
     let forest = scenario::forest(seed, level);
     let m = forest.n_features();
     let mut rng = scenario::rng_for(seed ^ 0x5EA1);
     let plain = scenario::probes(&mut rng, m, level.n_probes(), false);
     let laced = scenario::probes(&mut rng, m, level.n_probes(), true);
-    for kernel in pinned_kernels()? {
-        for policy in pinned_nan_policies()? {
-            // Reject admits only finite rows; the laced set exercises the
-            // imputing and NaN-aware admission paths.
-            let probes = if policy == NanPolicy::Reject { &plain } else { &laced };
-            let config = ServeConfig {
-                max_batch: 4,
-                queue_capacity: 256,
-                workers: 2,
-                nan_policy: policy,
-                kernel: Some(kernel),
-                ..Default::default()
-            };
-            let engine = ServeEngine::start(config, forest.clone(), seed)
-                .map_err(|e| format!("engine start (kernel {kernel}, {policy:?}): {e}"))?;
-            let tickets: Result<Vec<_>, _> =
-                probes.iter().map(|x| engine.submit(x.clone())).collect();
-            let tickets =
-                tickets.map_err(|e| format!("submit (kernel {kernel}, {policy:?}): {e}"))?;
-            let mut served = Vec::with_capacity(probes.len());
-            for (p, ticket) in tickets.into_iter().enumerate() {
-                let response = ticket
-                    .wait()
-                    .map_err(|e| format!("probe {p} lost (kernel {kernel}, {policy:?}): {e}"))?;
-                served.push(response.score);
-            }
-            engine.shutdown();
-            for (p, (x, got)) in probes.iter().zip(&served).enumerate() {
-                let want = match policy {
-                    NanPolicy::Reject => forest.predict_proba(x),
-                    NanPolicy::ImputeZero => {
-                        let clean: Vec<f32> =
-                            x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
-                        forest.predict_proba(&clean)
-                    }
-                    NanPolicy::NanAware => forest.predict_proba_nan_aware(x),
-                };
-                if got.to_bits() != want.to_bits() {
-                    return Err(format!(
-                        "kernel {kernel} policy {policy:?} probe {p}: served {got} vs reference \
-                         {want}"
-                    ));
+    for policy in [NanPolicy::Reject, NanPolicy::ImputeZero, NanPolicy::NanAware] {
+        // Reject admits only finite rows; the laced set exercises the
+        // imputing and NaN-aware admission paths.
+        let probes = if policy == NanPolicy::Reject { &plain } else { &laced };
+        let config = ServeConfig {
+            max_batch: 4,
+            queue_capacity: 256,
+            workers: 2,
+            nan_policy: policy,
+            ..Default::default()
+        };
+        let engine = ServeEngine::start(config, forest.clone(), seed)
+            .map_err(|e| format!("engine start ({policy:?}): {e}"))?;
+        let tickets: Result<Vec<_>, _> = probes.iter().map(|x| engine.submit(x.clone())).collect();
+        let tickets = tickets.map_err(|e| format!("submit ({policy:?}): {e}"))?;
+        let mut served = Vec::with_capacity(probes.len());
+        for (p, ticket) in tickets.into_iter().enumerate() {
+            let response =
+                ticket.wait().map_err(|e| format!("probe {p} lost ({policy:?}): {e}"))?;
+            served.push(response.score);
+        }
+        engine.shutdown();
+        for (p, (x, got)) in probes.iter().zip(&served).enumerate() {
+            let want = match policy {
+                NanPolicy::Reject => forest.predict_proba(x),
+                NanPolicy::ImputeZero => {
+                    let clean: Vec<f32> =
+                        x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
+                    forest.predict_proba(&clean)
                 }
+                NanPolicy::NanAware => forest.predict_proba_nan_aware(x),
+            };
+            if got.to_bits() != want.to_bits() {
+                return Err(format!(
+                    "policy {policy:?} probe {p}: served {got} vs reference {want}"
+                ));
             }
         }
     }

@@ -113,15 +113,14 @@ pub fn forest(seed: u64, level: SizeLevel) -> RandomForest {
     trainer.fit(&data, seed ^ 0xF0E5)
 }
 
-/// Degenerate forest shapes the scoring kernels must survive: trees with
+/// Degenerate forest shapes the compiled walk must survive: trees with
 /// the fewest leaves a layout can hold. Returns `(shape-name, forest)`
 /// pairs, all trained over [`dataset`]-derived data:
 ///
-/// * `stumps` — every tree is depth 1 (one split, two leaves), the
-///   smallest non-trivial leaf interval.
-/// * `single-tree` — a one-tree forest (one block, no cross-tree layout).
+/// * `stumps` — every tree is depth 1 (one split, two leaves).
+/// * `single-tree` — a one-tree forest (one partial lane group).
 /// * `pure-single-leaf` — constant labels, so every tree is a root leaf
-///   with no split at all (empty entry lists, one-bit masks).
+///   with no split at all (no lockstep steps).
 pub fn degenerate_forests(seed: u64, level: SizeLevel) -> Vec<(&'static str, RandomForest)> {
     let data = dataset(seed, level);
     let stumps =

@@ -42,12 +42,10 @@
 //! drcshap resume <dir> [--deadline <secs>]         resume a run from its manifest
 //! drcshap serve <model> [--design <name>] [--scale <s>] [--batch <n>]
 //!               [--wait-ms <ms>] [--workers <n>] [--queue <n>] [--nan-aware]
-//!               [--kernel <name>] [--stats]
+//!               [--stats]
 //!     batched inference through the serve engine: scores JSONL feature rows
 //!     from stdin (one JSON array per line) to JSONL on stdout, or a whole
-//!     built design with `--design`; `--kernel` pins the scoring kernel
-//!     (reference | compiled | bitvector | bitvector-quantized; default:
-//!     `DRCSHAP_KERNEL`, then compiled);
+//!     built design with `--design`, through the compiled forest;
 //!     `--stats` dumps serving metrics as JSON on stderr at the end
 //! drcshap gateway <model> [--shards <n>] [--batch <n>] [--wait-ms <ms>]
 //!                 [--workers <n>] [--queue <n>] [--nan-aware]
@@ -110,7 +108,7 @@ use drcshap::ml::{
 };
 use drcshap::netlist::{suite, write_def, DesignSpec};
 use drcshap::route::{render_heatmap, HeatSource};
-use drcshap::serve::{ForestKernel, ServeConfig, ServeEngine, Ticket};
+use drcshap::serve::{ServeConfig, ServeEngine, Ticket};
 use drcshap::shap::ForceOptions;
 use drcshap::store::{FsBackend, GenerationStatus, Registry, StorageBackend};
 use drcshap::telemetry;
@@ -130,8 +128,7 @@ const USAGE: &str = "usage: drcshap <list | build <design> [scale] | explain <de
                      run <dir> [scale] [--deadline <secs>] [--design <name>] | \
                      resume <dir> [--deadline <secs>] | \
                      serve <model> [--design <name>] [--scale <s>] [--batch <n>] \
-                     [--wait-ms <ms>] [--workers <n>] [--queue <n>] [--nan-aware] \
-                     [--kernel <reference|compiled|bitvector|bitvector-quantized>] [--stats] | \
+                     [--wait-ms <ms>] [--workers <n>] [--queue <n>] [--nan-aware] [--stats] | \
                      gateway <model> [--shards <n>] [--batch <n>] [--wait-ms <ms>] \
                      [--workers <n>] [--queue <n>] [--nan-aware] [--deadline-ms <ms>] \
                      [--hedge-ms <ms>] [--retries <n>] [--quota-burst <b>] \
@@ -1090,10 +1087,6 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let nan_aware = take_switch(&mut args, "--nan-aware");
     let design = take_value(&mut args, "--design")?;
     let scale: f64 = parse_flag(&mut args, "--scale", 0.25)?;
-    let kernel = match take_value(&mut args, "--kernel")? {
-        None => None,
-        Some(s) => Some(s.parse::<ForestKernel>().map_err(DrcshapError::usage)?),
-    };
     let defaults = ServeConfig::default();
     let wait_ms: f64 = parse_flag(&mut args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
     if !wait_ms.is_finite() || wait_ms < 0.0 {
@@ -1105,7 +1098,6 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
         queue_capacity: parse_flag(&mut args, "--queue", defaults.queue_capacity)?,
         workers: parse_flag(&mut args, "--workers", defaults.workers)?,
         nan_policy: if nan_aware { NanPolicy::NanAware } else { NanPolicy::Reject },
-        kernel,
         ..defaults
     };
     let path = args.first().cloned().ok_or_else(|| DrcshapError::usage("missing model path"))?;
@@ -1119,7 +1111,6 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     // at most `window` unresolved tickets, so `Overloaded` cannot fire.
     let window = config.queue_capacity;
     let engine = ServeEngine::start_saved(config, model, schema.fingerprint())?;
-    eprintln!("scoring kernel: {}", engine.kernel());
     match design {
         Some(name) => {
             let spec = suite::spec(&name).ok_or_else(|| {
