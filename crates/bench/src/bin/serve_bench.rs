@@ -1,10 +1,13 @@
 //! Serving-path throughput bench: per-sample `RandomForest::predict_proba`
 //! vs the serve engine's `CompiledForest::score_batch`, the NaN-aware
-//! batch path, and the full micro-batching engine, reported as JSON.
+//! batch path, the full micro-batching engine, and TreeSHAP explanations
+//! (`explain_forest`) of the first probe rows, reported as JSON.
 //!
-//! Every timed path must be *bit-identical* to the reference model — this
-//! bench verifies that on every row before timing anything and refuses to
-//! report numbers for a divergent build.
+//! Every timed scoring path must be *bit-identical* to the reference model,
+//! and every timed explanation must satisfy local accuracy
+//! (`|E[f] + Σφ − f(x)| ≤ 1e-9`, the paper's Eq. 1) — this bench verifies
+//! that on every row before timing anything and refuses to report numbers
+//! for a divergent build.
 //!
 //! ```text
 //! cargo run --release -p drcshap-bench --bin serve_bench [-- --out BENCH_serve.json]
@@ -40,10 +43,14 @@ use drcshap_bench::{env_f64, env_usize, take_value};
 use drcshap_forest::{RandomForest, RandomForestTrainer};
 use drcshap_ml::{Dataset, NanPolicy, Trainer};
 use drcshap_serve::{CompiledForest, ServeConfig, ServeEngine};
+use drcshap_shap::explain_forest;
 use drcshap_telemetry as telemetry;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// How many probe rows the explanation section explains per timed call.
+const EXPLAIN_ROWS: usize = 32;
 
 /// Runs `body` (which processes `per_call` samples) until ~0.5 s of wall
 /// clock is spent, after one warmup call; returns samples/second.
@@ -259,6 +266,25 @@ fn main() {
     let metrics = engine.metrics();
     engine.shutdown();
 
+    // Explanations: TreeSHAP of the first probe rows, each checked for
+    // local accuracy before timing.
+    let explain_rows: Vec<&[f32]> = flat.chunks(m).take(EXPLAIN_ROWS).collect();
+    let mut explain_max_gap = 0.0f64;
+    for (i, row) in explain_rows.iter().enumerate() {
+        let gap = explain_forest(&rf, row).local_accuracy_gap();
+        assert!(gap <= 1e-9, "explanation of probe row {i} misses local accuracy by {gap:e}");
+        explain_max_gap = explain_max_gap.max(gap);
+    }
+    eprintln!(
+        "local accuracy verified on {} explanations (max gap {explain_max_gap:.1e})",
+        explain_rows.len()
+    );
+    let explain_tp = throughput(explain_rows.len(), || {
+        for row in &explain_rows {
+            std::hint::black_box(explain_forest(&rf, row));
+        }
+    });
+
     let speedup = compiled_tp / single;
     let report = serde_json::json!({
         "bench": "serve_bench",
@@ -277,15 +303,22 @@ fn main() {
         "speedup_compiled_vs_single": speedup,
         "engine_mean_batch": metrics.mean_batch,
         "engine_latency_p99_us": metrics.latency_p99_us,
+        "explain_rows": explain_rows.len(),
+        "explain_per_s": explain_tp,
+        "explain_max_gap": explain_max_gap,
         "bit_identical": true,
     });
     let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
     println!("{pretty}");
     if let Some(path) = out_path {
         // Never overwrite a baseline with numbers the gate would reject.
-        for (field, value) in
-            [("single", single), ("compiled", compiled_tp), ("nan", nan_tp), ("engine", engine_tp)]
-        {
+        for (field, value) in [
+            ("single", single),
+            ("compiled", compiled_tp),
+            ("nan", nan_tp),
+            ("engine", engine_tp),
+            ("explain", explain_tp),
+        ] {
             if !value.is_finite() || value <= 0.0 {
                 eprintln!("error: refusing to write {path}: {field} throughput is {value}");
                 std::process::exit(1);

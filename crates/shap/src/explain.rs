@@ -3,7 +3,6 @@
 
 use drcshap_forest::{DecisionTree, RandomForest};
 use drcshap_telemetry as telemetry;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::tree_shap::{tree_shap, tree_shap_into, TreeShapScratch};
@@ -77,47 +76,41 @@ pub fn explain_tree(tree: &DecisionTree, x: &[f32]) -> Explanation {
 
 /// Explains a Random Forest prediction: SHAP values of the ensemble are the
 /// means of the per-tree SHAP values (the forest output is the mean of tree
-/// outputs, and SHAP is linear in the model). Trees are explained in
-/// parallel; each rayon worker reuses one [`TreeShapScratch`] and one
-/// accumulator across every tree it takes, so the whole forest walk costs a
-/// handful of allocations rather than two per tree.
+/// outputs, and SHAP is linear in the model). Trees are summed in order
+/// into one accumulator, reusing one [`TreeShapScratch`].
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != forest.n_features()`.
 pub fn explain_forest(forest: &RandomForest, x: &[f32]) -> Explanation {
-    assert_eq!(x.len(), forest.n_features(), "feature count mismatch");
-    let _span =
-        telemetry::span_with("shap/explain_forest", || format!("{} trees", forest.trees().len()));
-    telemetry::counter("shap/trees_explained", forest.trees().len() as u64);
-    let n_trees = forest.trees().len() as f64;
-    let contributions = forest
-        .trees()
-        .par_iter()
-        .fold(
-            || (TreeShapScratch::new(), vec![0.0; forest.n_features()]),
-            |(mut scratch, mut acc), t| {
-                tree_shap_into(t, x, &mut scratch, &mut acc);
-                (scratch, acc)
-            },
-        )
-        .map(|(_, acc)| acc)
-        .reduce(
-            || vec![0.0; forest.n_features()],
-            |mut acc, phi| {
-                for (a, p) in acc.iter_mut().zip(&phi) {
-                    *a += p;
-                }
-                acc
-            },
-        )
-        .into_iter()
-        .map(|v| v / n_trees)
-        .collect();
+    let mut contributions = vec![0.0; forest.n_features()];
+    forest_shap_into(forest, x, &mut TreeShapScratch::new(), &mut contributions);
     Explanation {
         base_value: forest.expected_value(),
         prediction: forest.predict_proba(x),
         contributions,
+    }
+}
+
+/// Writes the forest's SHAP values for `x` into `phi`: the per-tree values
+/// summed in tree order from `+0.0`, then divided by the tree count.
+pub(crate) fn forest_shap_into(
+    forest: &RandomForest,
+    x: &[f32],
+    scratch: &mut TreeShapScratch,
+    phi: &mut [f64],
+) {
+    assert_eq!(x.len(), forest.n_features(), "feature count mismatch");
+    let _span =
+        telemetry::span_with("shap/explain_forest", || format!("{} trees", forest.trees().len()));
+    telemetry::counter("shap/trees_explained", forest.trees().len() as u64);
+    phi.fill(0.0);
+    for tree in forest.trees() {
+        tree_shap_into(tree, x, scratch, phi);
+    }
+    let n_trees = forest.trees().len() as f64;
+    for v in phi {
+        *v /= n_trees;
     }
 }
 

@@ -12,7 +12,9 @@
 //! much of the M4 overflow's credit exists only in combination with the
 //! neighboring via crowding?".
 
-use drcshap_forest::{DecisionTree, TreeNode};
+use drcshap_forest::DecisionTree;
+
+use crate::tree_shap::{conditional_shap_into, tree_shap_into, TreeShapScratch};
 
 /// A dense symmetric `M × M` interaction matrix (row-major).
 #[derive(Debug, Clone, PartialEq)]
@@ -87,33 +89,13 @@ pub fn tree_shap_interactions(tree: &DecisionTree, x: &[f32]) -> InteractionValu
     assert_eq!(x.len(), tree.n_features(), "feature count mismatch");
     let m = tree.n_features();
     let mut values = vec![0.0; m * m];
-
-    let phi = crate::tree_shap(tree, x);
-    let mut used: Vec<usize> =
-        tree.nodes().iter().filter(|n| !n.is_leaf()).map(|n| n.feature as usize).collect();
-    used.sort_unstable();
-    used.dedup();
-
-    for &i in &used {
-        let present = shap_conditional(tree, x, i, true);
-        let absent = shap_conditional(tree, x, i, false);
-        let mut off_diag_sum = 0.0;
-        for &j in &used {
-            if j == i {
-                continue;
-            }
-            let v = (present[j] - absent[j]) / 2.0;
-            values[i * m + j] = v;
-            off_diag_sum += v;
-        }
-        values[i * m + i] = phi[i] - off_diag_sum;
-    }
+    add_tree_interactions(tree, x, &mut TreeShapScratch::new(), &mut values);
     InteractionValues { values, n_features: m }
 }
 
 /// SHAP interaction values of a whole forest: the mean of the per-tree
 /// matrices (interaction values, like SHAP values, are linear in the
-/// model). Trees are processed in parallel.
+/// model), summed in tree order.
 ///
 /// # Panics
 ///
@@ -122,200 +104,68 @@ pub fn forest_shap_interactions(
     forest: &drcshap_forest::RandomForest,
     x: &[f32],
 ) -> InteractionValues {
-    use rayon::prelude::*;
     assert_eq!(x.len(), forest.n_features(), "feature count mismatch");
     let m = forest.n_features();
     let n_trees = forest.trees().len() as f64;
-    let values = forest
-        .trees()
-        .par_iter()
-        .map(|t| tree_shap_interactions(t, x).values)
-        .reduce(
-            || vec![0.0; m * m],
-            |mut acc, v| {
-                for (a, b) in acc.iter_mut().zip(&v) {
-                    *a += b;
-                }
-                acc
-            },
-        )
-        .into_iter()
-        .map(|v| v / n_trees)
-        .collect();
+    let mut scratch = TreeShapScratch::new();
+    let mut values = vec![0.0; m * m];
+    for tree in forest.trees() {
+        add_tree_interactions(tree, x, &mut scratch, &mut values);
+    }
+    for v in &mut values {
+        *v /= n_trees;
+    }
     InteractionValues { values, n_features: m }
+}
+
+/// Adds the interaction matrix of `tree` at `x` into the row-major
+/// `values`, entry by entry. The rows and columns of features the tree
+/// never splits on are zero and are skipped: every sum involved starts at
+/// `+0.0`, so none is `−0.0`, and adding `+0.0` would leave its bits alone.
+fn add_tree_interactions(
+    tree: &DecisionTree,
+    x: &[f32],
+    scratch: &mut TreeShapScratch,
+    values: &mut [f64],
+) {
+    let m = tree.n_features();
+    let mut phi = vec![0.0; m];
+    tree_shap_into(tree, x, scratch, &mut phi);
+    let mut used: Vec<usize> =
+        tree.nodes().iter().filter(|n| !n.is_leaf()).map(|n| n.feature as usize).collect();
+    used.sort_unstable();
+    used.dedup();
+
+    let (mut present, mut absent) = (vec![0.0; m], vec![0.0; m]);
+    for &i in &used {
+        present.fill(0.0);
+        absent.fill(0.0);
+        conditional_shap_into(tree, x, i, true, scratch, &mut present);
+        conditional_shap_into(tree, x, i, false, scratch, &mut absent);
+        let mut off_diag_sum = 0.0;
+        for &j in &used {
+            if j == i {
+                continue;
+            }
+            let v = (present[j] - absent[j]) / 2.0;
+            values[i * m + j] += v;
+            off_diag_sum += v;
+        }
+        values[i * m + i] += phi[i] - off_diag_sum;
+    }
 }
 
 /// SHAP values of the `M−1`-feature game where `cond` is removed: fixed to
 /// its observed value (`present`) or marginalized by training covers
 /// (`absent`).
+///
+/// # Panics
+///
+/// Panics if `x.len() != tree.n_features()`.
 pub fn shap_conditional(tree: &DecisionTree, x: &[f32], cond: usize, present: bool) -> Vec<f64> {
-    assert_eq!(x.len(), tree.n_features(), "feature count mismatch");
     let mut phi = vec![0.0; tree.n_features()];
-    recurse(tree.nodes(), 0, Vec::new(), 1.0, 1.0, -1, x, cond as u32, present, 1.0, &mut phi);
+    conditional_shap_into(tree, x, cond, present, &mut TreeShapScratch::new(), &mut phi);
     phi
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PathElem {
-    d: i32,
-    z: f64,
-    o: f64,
-    w: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    nodes: &[TreeNode],
-    j: usize,
-    path: Vec<PathElem>,
-    pz: f64,
-    po: f64,
-    pi: i32,
-    x: &[f32],
-    cond: u32,
-    present: bool,
-    cond_frac: f64,
-    phi: &mut [f64],
-) {
-    if cond_frac == 0.0 {
-        return;
-    }
-    let m = extend(path, pz, po, pi);
-    let node = &nodes[j];
-    if node.is_leaf() {
-        for i in 1..m.len() {
-            let w = unwound_sum(&m, i);
-            phi[m[i].d as usize] += w * (m[i].o - m[i].z) * node.value * cond_frac;
-        }
-        return;
-    }
-
-    let f = node.feature as usize;
-    let (hot, cold) = if x[f] <= node.threshold {
-        (node.left as usize, node.right as usize)
-    } else {
-        (node.right as usize, node.left as usize)
-    };
-    let rj = node.cover.max(1e-12);
-    let hot_frac = nodes[hot].cover / rj;
-    let cold_frac = nodes[cold].cover / rj;
-
-    // The conditioning feature is outside the game: never extend the path
-    // for it; route (present) or average (absent) via the scalar fraction.
-    if node.feature == cond {
-        if present {
-            recurse(nodes, hot, m, 1.0, 1.0, -2, x, cond, present, cond_frac, phi);
-        } else {
-            recurse(
-                nodes,
-                hot,
-                m.clone(),
-                1.0,
-                1.0,
-                -2,
-                x,
-                cond,
-                present,
-                cond_frac * hot_frac,
-                phi,
-            );
-            recurse(nodes, cold, m, 1.0, 1.0, -2, x, cond, present, cond_frac * cold_frac, phi);
-        }
-        return;
-    }
-
-    let (mut iz, mut io) = (1.0, 1.0);
-    let mut m = m;
-    if let Some(k) = m.iter().skip(1).position(|e| e.d == node.feature as i32) {
-        let k = k + 1;
-        iz = m[k].z;
-        io = m[k].o;
-        m = unwind(m, k);
-    }
-    recurse(
-        nodes,
-        hot,
-        m.clone(),
-        iz * hot_frac,
-        io,
-        node.feature as i32,
-        x,
-        cond,
-        present,
-        cond_frac,
-        phi,
-    );
-    recurse(
-        nodes,
-        cold,
-        m,
-        iz * cold_frac,
-        0.0,
-        node.feature as i32,
-        x,
-        cond,
-        present,
-        cond_frac,
-        phi,
-    );
-}
-
-// extend/unwind are identical to tree_shap's, but the recursion above must
-// be able to call extend with a sentinel (-2) that *keeps the path as-is*:
-// extending with pz = po = 1 and a sentinel feature would distort weights,
-// so -2 means "skip".
-fn extend(mut m: Vec<PathElem>, pz: f64, po: f64, pi: i32) -> Vec<PathElem> {
-    if pi == -2 {
-        return m; // conditioning pass-through: path unchanged
-    }
-    let l = m.len();
-    m.push(PathElem { d: pi, z: pz, o: po, w: if l == 0 { 1.0 } else { 0.0 } });
-    for i in (0..l).rev() {
-        m[i + 1].w += po * m[i].w * (i + 1) as f64 / (l + 1) as f64;
-        m[i].w = pz * m[i].w * (l - i) as f64 / (l + 1) as f64;
-    }
-    m
-}
-
-fn unwind(mut m: Vec<PathElem>, i: usize) -> Vec<PathElem> {
-    let l = m.len() - 1;
-    let (o, z) = (m[i].o, m[i].z);
-    let mut n = m[l].w;
-    for j in (0..l).rev() {
-        if o != 0.0 {
-            let t = m[j].w;
-            m[j].w = n * (l + 1) as f64 / ((j + 1) as f64 * o);
-            n = t - m[j].w * z * (l - j) as f64 / (l + 1) as f64;
-        } else {
-            m[j].w = m[j].w * (l + 1) as f64 / (z * (l - j) as f64);
-        }
-    }
-    for j in i..l {
-        m[j].d = m[j + 1].d;
-        m[j].z = m[j + 1].z;
-        m[j].o = m[j + 1].o;
-    }
-    m.pop();
-    m
-}
-
-fn unwound_sum(m: &[PathElem], i: usize) -> f64 {
-    let l = m.len() - 1;
-    let (o, z) = (m[i].o, m[i].z);
-    let mut total = 0.0;
-    if o != 0.0 {
-        let mut n = m[l].w;
-        for j in (0..l).rev() {
-            let t = n * (l + 1) as f64 / ((j + 1) as f64 * o);
-            total += t;
-            n = m[j].w - t * z * (l - j) as f64 / (l + 1) as f64;
-        }
-    } else {
-        for j in (0..l).rev() {
-            total += m[j].w * (l + 1) as f64 / (z * (l - j) as f64);
-        }
-    }
-    total
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 use drcshap_forest::RandomForest;
 use drcshap_ml::Dataset;
 use drcshap_telemetry as telemetry;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::explain::explain_forest;
+use crate::explain::forest_shap_into;
+use crate::tree_shap::TreeShapScratch;
 
 /// Aggregated SHAP statistics over a set of samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,7 +50,7 @@ impl GlobalImportance {
 }
 
 /// Aggregates SHAP explanations over (up to `max_samples` of) `data`,
-/// evenly subsampled, in parallel.
+/// evenly subsampled, summed in row order.
 ///
 /// # Panics
 ///
@@ -63,23 +63,16 @@ pub fn summarize(forest: &RandomForest, data: &Dataset, max_samples: usize) -> G
     let indices: Vec<usize> = (0..n).step_by(step).collect();
     let _span = telemetry::span_with("shap/summarize", || format!("{} samples", indices.len()));
     let m = data.n_features();
-    let (abs_sum, sum) = indices
-        .par_iter()
-        .map(|&i| {
-            let phi = explain_forest(forest, data.row(i)).contributions;
-            let abs: Vec<f64> = phi.iter().map(|v| v.abs()).collect();
-            (abs, phi)
-        })
-        .reduce(
-            || (vec![0.0; m], vec![0.0; m]),
-            |(mut aa, mut sa), (ab, sb)| {
-                for j in 0..m {
-                    aa[j] += ab[j];
-                    sa[j] += sb[j];
-                }
-                (aa, sa)
-            },
-        );
+    let mut scratch = TreeShapScratch::new();
+    let mut phi = vec![0.0; m];
+    let (mut abs_sum, mut sum) = (vec![0.0; m], vec![0.0; m]);
+    for &i in &indices {
+        forest_shap_into(forest, data.row(i), &mut scratch, &mut phi);
+        for j in 0..m {
+            abs_sum[j] += phi[j].abs();
+            sum[j] += phi[j];
+        }
+    }
     let count = indices.len();
     GlobalImportance {
         mean_abs: abs_sum.into_iter().map(|v| v / count as f64).collect(),

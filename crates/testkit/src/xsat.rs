@@ -219,9 +219,7 @@ fn check_shap_vs_abductive(seed: u64, level: SizeLevel) -> Result<(), String> {
             .map_err(|e| format!("probe {p}: explain failed: {e}"))?;
         let want = ex.predicted_hotspot;
 
-        // Forest SHAP, summed per tree in a fixed order so the view is
-        // deterministic (the parallel `explain_forest` path is not
-        // bit-stable and is checked elsewhere).
+        // Forest SHAP, summed per tree in tree order.
         let mut phi = vec![0.0f64; m];
         for tree in forest.trees() {
             for (j, v) in tree_shap(tree, x).iter().enumerate() {

@@ -533,8 +533,9 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
         let proba = forest.predict_proba(x);
         let votes_for = drcshap::xsat::forest_vote_count(forest, x);
         let shap = method.wants_shap().then(|| {
-            // Summed per tree in a fixed order: the parallel explain path
-            // is faster but not bit-stable across runs.
+            // Each tree's φ divided by the tree count, then summed in tree
+            // order. `explain_forest` sums first and divides once, so
+            // switching to it would move this JSON's bits.
             let mut contributions = vec![0.0f64; x.len()];
             for tree in forest.trees() {
                 for (j, phi) in drcshap::shap::tree_shap(tree, x).iter().enumerate() {
@@ -558,8 +559,8 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
             ShapView { base_value, contributions, top }
         });
         let interaction_pairs = interactions.then(|| {
-            // Same fixed per-tree order as the SHAP block: the rayon-based
-            // forest path is faster but not bit-stable across runs.
+            // The same per-tree order and division as the SHAP block
+            // (`forest_shap_interactions` divides once, at the end).
             let m = x.len();
             let mut matrix = vec![0.0f64; m * m];
             for tree in forest.trees() {
