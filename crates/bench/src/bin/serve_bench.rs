@@ -17,7 +17,9 @@
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --trace serve.json --stats
 //! ```
 //!
-//! The report records the host it ran on (`host.cpus`, `host.cpu`).
+//! The report records the host it ran on (`host.cpus`, `host.cpu`) and
+//! the wall time of the forest fit (`fit_s`, recorded but not gated; the
+//! training data is generated before its clock starts).
 //! `--out <path>` merges the serve fields into an existing JSON baseline
 //! (preserving the `gateway`, `registry`, and `xsat` sections other
 //! benches maintain) or creates the file fresh.
@@ -40,7 +42,7 @@
 use std::time::{Duration, Instant};
 
 use drcshap_bench::{env_f64, env_usize, take_value};
-use drcshap_forest::{RandomForest, RandomForestTrainer};
+use drcshap_forest::RandomForestTrainer;
 use drcshap_ml::{Dataset, NanPolicy, Trainer};
 use drcshap_serve::{CompiledForest, ServeConfig, ServeEngine};
 use drcshap_shap::explain_forest;
@@ -66,13 +68,9 @@ fn throughput(per_call: usize, mut body: impl FnMut()) -> f64 {
     (calls * per_call as u64) as f64 / start.elapsed().as_secs_f64()
 }
 
-fn train_forest(
-    n_trees: usize,
-    m: usize,
-    rows: usize,
-    max_depth: Option<usize>,
-    seed: u64,
-) -> RandomForest {
+/// The forest's training set: `rows` of `m` uniform features, labelled by
+/// whether the sum of every seventh feature exceeds `m / 14`.
+fn training_data(m: usize, rows: usize, seed: u64) -> Dataset {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut x = Vec::with_capacity(rows * m);
     let mut y = Vec::with_capacity(rows);
@@ -87,8 +85,7 @@ fn train_forest(
         }
         y.push(acc > 0.5 * (m as f32 / 7.0));
     }
-    let data = Dataset::from_parts(x, y, vec![0; rows], m);
-    RandomForestTrainer { n_trees, max_depth, ..Default::default() }.fit(&data, seed)
+    Dataset::from_parts(x, y, vec![0; rows], m)
 }
 
 /// A finite, positive throughput from a baseline field — anything else
@@ -197,10 +194,13 @@ fn main() {
     }
 
     eprintln!("training {n_trees}-tree forest on {m} features (depth {depth}; 0 = unpruned)...");
-    let rf = train_forest(n_trees, m, 2000, max_depth, 42);
+    let data = training_data(m, 2000, 42);
+    let fit_start = Instant::now();
+    let rf = RandomForestTrainer { n_trees, max_depth, ..Default::default() }.fit(&data, 42);
+    let fit_s = fit_start.elapsed().as_secs_f64();
     let mean_leaves =
         rf.trees().iter().map(|t| t.num_leaves()).sum::<usize>() as f64 / rf.trees().len() as f64;
-    eprintln!("mean leaves per tree: {mean_leaves:.1}");
+    eprintln!("fit in {fit_s:.3} s; mean leaves per tree: {mean_leaves:.1}");
     let compiled = CompiledForest::compile(&rf);
 
     // The probe batch: random rows, plus a NaN-laced copy for the NaN path.
@@ -296,6 +296,7 @@ fn main() {
         "depth": depth,
         "mean_leaves": mean_leaves,
         "threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        "fit_s": fit_s,
         "single_sample_per_s": single,
         "compiled_batch_per_s": compiled_tp,
         "nan_aware_batch_per_s": nan_tp,

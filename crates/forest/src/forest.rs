@@ -1,6 +1,7 @@
 //! The Random Forest classifier (Breiman 2001): bagging over unpruned CART
-//! trees with per-split feature subsampling, trained in parallel — the
-//! paper's proposed model (500 unpruned trees, §IV-A).
+//! trees with per-split feature subsampling, trained one tree after another
+//! over one shared rank store — the paper's proposed model (500 unpruned
+//! trees, §IV-A).
 
 use drcshap_ml::{Classifier, Dataset, ModelComplexity, Trainer};
 use drcshap_telemetry as telemetry;
@@ -10,6 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::ranks::RankStore;
 use crate::tree::{DecisionTree, TreeTrainer};
 
 /// Per-split feature subsampling policy.
@@ -62,41 +64,56 @@ impl Default for RandomForestTrainer {
     }
 }
 
-impl Trainer for RandomForestTrainer {
-    type Model = RandomForest;
-
-    /// Trains `n_trees` trees on bootstrap resamples, one after another:
-    /// the vendored rayon stand-in runs `into_par_iter` sequentially on the
-    /// calling thread. The result is deterministic for a given `seed`
-    /// (each tree derives its own RNG stream).
-    fn fit(&self, data: &Dataset, seed: u64) -> RandomForest {
+impl RandomForestTrainer {
+    /// Fits the forest's trees over one rank store of `data` and hands
+    /// each tree, with its bootstrap weights, to `keep`. Tree `t` draws its
+    /// bootstrap (`n` samples with replacement, as per-sample counts) and
+    /// its CART seed from its own RNG stream, so the trees depend on
+    /// `seed` alone. The vendored rayon stand-in runs `into_par_iter`
+    /// sequentially on the calling thread.
+    pub(crate) fn fit_trees<T>(
+        &self,
+        data: &Dataset,
+        seed: u64,
+        keep: impl Fn(DecisionTree, Vec<f64>) -> T,
+    ) -> Vec<T> {
         assert!(self.n_trees > 0, "forest needs at least one tree");
         assert!(data.n_samples() > 0, "empty training set");
         let _fit_span = telemetry::span_with("rf/fit", || {
             format!("{} trees x {} samples", self.n_trees, data.n_samples())
         });
-        let k = self.max_features.resolve(data.n_features());
+        let store = RankStore::new(data);
         let tree_config = TreeTrainer {
             max_depth: self.max_depth,
             min_samples_split: 2.0,
             min_samples_leaf: self.min_samples_leaf,
-            max_features: Some(k),
+            max_features: Some(self.max_features.resolve(data.n_features())),
         };
         let n = data.n_samples();
-        let trees: Vec<DecisionTree> = (0..self.n_trees)
+        (0..self.n_trees)
             .into_par_iter()
             .map(|t| {
                 let _tree_span = telemetry::span("rf/fit_tree");
                 telemetry::counter("rf/trees_fit", 1);
                 let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (0x9e37_79b9 + t as u64));
-                // Bootstrap: sample n with replacement, expressed as weights.
                 let mut weights = vec![0f64; n];
                 for _ in 0..n {
                     weights[rng.gen_range(0..n)] += 1.0;
                 }
-                tree_config.fit_weighted(data, &weights, rng.gen())
+                let tree = tree_config.fit_ranked(data, &store, &weights, rng.gen());
+                keep(tree, weights)
             })
-            .collect();
+            .collect()
+    }
+}
+
+impl Trainer for RandomForestTrainer {
+    type Model = RandomForest;
+
+    /// Trains `n_trees` trees on bootstrap resamples, one after another.
+    /// The result is deterministic for a given `seed`.
+    fn fit(&self, data: &Dataset, seed: u64) -> RandomForest {
+        let trees = self.fit_trees(data, seed, |tree, _| tree);
         RandomForest { trees, n_features: data.n_features() }
     }
 

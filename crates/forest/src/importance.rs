@@ -7,14 +7,9 @@
 //! two rankings.
 
 use drcshap_ml::Dataset;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::forest::{RandomForest, RandomForestTrainer};
-use crate::tree::TreeTrainer;
 
 /// Out-of-bag evaluation of a forest fit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,30 +43,12 @@ impl RandomForestTrainer {
     ///
     /// Panics on an empty dataset or zero trees.
     pub fn fit_with_oob(&self, data: &Dataset, seed: u64) -> (RandomForest, OobReport) {
-        assert!(self.n_trees > 0, "forest needs at least one tree");
+        // A sample is out of bag for a tree when its bootstrap count is 0.
+        let fits = self.fit_trees(data, seed, |tree, weights| {
+            let oob: Vec<bool> = weights.iter().map(|&w| w == 0.0).collect();
+            (tree, oob)
+        });
         let n = data.n_samples();
-        assert!(n > 0, "empty training set");
-        let k = self.max_features.resolve(data.n_features());
-        let tree_config = TreeTrainer {
-            max_depth: self.max_depth,
-            min_samples_split: 2.0,
-            min_samples_leaf: self.min_samples_leaf,
-            max_features: Some(k),
-        };
-        // Must mirror `Trainer::fit` exactly: same seed stream per tree.
-        let fits: Vec<(crate::tree::DecisionTree, Vec<bool>)> = (0..self.n_trees)
-            .into_par_iter()
-            .map(|t| {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (0x9e37_79b9 + t as u64));
-                let mut weights = vec![0f64; n];
-                for _ in 0..n {
-                    weights[rng.gen_range(0..n)] += 1.0;
-                }
-                let oob: Vec<bool> = weights.iter().map(|&w| w == 0.0).collect();
-                (tree_config.fit_weighted(data, &weights, rng.gen()), oob)
-            })
-            .collect();
-
         let mut sums = vec![0.0f64; n];
         let mut counts = vec![0usize; n];
         for (tree, oob) in &fits {
@@ -130,6 +107,8 @@ impl RandomForest {
 mod tests {
     use super::*;
     use drcshap_ml::Trainer;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Label = (x0 > 0.5); x1 is noise.
     fn threshold_data(n: usize, seed: u64) -> Dataset {

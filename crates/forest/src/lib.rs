@@ -23,6 +23,7 @@
 
 mod forest;
 mod importance;
+mod ranks;
 mod rusboost;
 mod tree;
 

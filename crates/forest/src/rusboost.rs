@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::ranks::RankStore;
 use crate::tree::{DecisionTree, TreeTrainer};
 
 /// RUSBoost hyperparameters and trainer.
@@ -52,6 +53,8 @@ impl Trainer for RusBoostTrainer {
             min_samples_leaf: 1.0,
             max_features: None,
         };
+        // Every round reweights the same samples: rank them once.
+        let store = RankStore::new(data);
 
         // AdaBoost.M1 distribution over the full training set.
         let mut dist = vec![1.0 / n as f64; n];
@@ -89,7 +92,7 @@ impl Trainer for RusBoostTrainer {
                 *w *= scale;
             }
 
-            let tree = weak.fit_weighted(data, &weights, rng.gen());
+            let tree = weak.fit_ranked(data, &store, &weights, rng.gen());
 
             // Weighted error on the FULL training distribution.
             let mut err = 0.0;

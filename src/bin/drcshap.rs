@@ -109,7 +109,7 @@ use drcshap::ml::{
 use drcshap::netlist::{suite, write_def, DesignSpec};
 use drcshap::route::{render_heatmap, HeatSource};
 use drcshap::serve::{ServeConfig, ServeEngine, Ticket};
-use drcshap::shap::ForceOptions;
+use drcshap::shap::{Explanation, ForceOptions};
 use drcshap::store::{FsBackend, GenerationStatus, Registry, StorageBackend};
 use drcshap::telemetry;
 use drcshap::testkit::{self, ChaosConfig, CrashSoakConfig, GatewayChaosConfig, SizeLevel};
@@ -397,6 +397,8 @@ struct ExplainProvenance {
     n_features: usize,
 }
 
+/// One case's `explain_forest` output: the φ and base value bits that
+/// `ServeEngine::explain` and the analytics live mode report too.
 #[derive(serde::Serialize)]
 struct ShapView {
     base_value: f64,
@@ -533,16 +535,8 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
         let proba = forest.predict_proba(x);
         let votes_for = drcshap::xsat::forest_vote_count(forest, x);
         let shap = method.wants_shap().then(|| {
-            // Each tree's φ divided by the tree count, then summed in tree
-            // order. `explain_forest` sums first and divides once, so
-            // switching to it would move this JSON's bits.
-            let mut contributions = vec![0.0f64; x.len()];
-            for tree in forest.trees() {
-                for (j, phi) in drcshap::shap::tree_shap(tree, x).iter().enumerate() {
-                    contributions[j] += phi / n_trees as f64;
-                }
-            }
-            let base_value = proba - contributions.iter().sum::<f64>();
+            let Explanation { base_value, contributions, .. } =
+                drcshap::shap::explain_forest(forest, x);
             let mut ranked: Vec<usize> = (0..contributions.len()).collect();
             ranked.sort_by(|&a, &b| {
                 contributions[b].abs().total_cmp(&contributions[a].abs()).then(a.cmp(&b))
@@ -559,19 +553,7 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
             ShapView { base_value, contributions, top }
         });
         let interaction_pairs = interactions.then(|| {
-            // The same per-tree order and division as the SHAP block
-            // (`forest_shap_interactions` divides once, at the end).
-            let m = x.len();
-            let mut matrix = vec![0.0f64; m * m];
-            for tree in forest.trees() {
-                let iv = drcshap::shap::tree_shap_interactions(tree, x);
-                for i in 0..m {
-                    for (j, cell) in iv.row(i).iter().enumerate() {
-                        matrix[i * m + j] += cell / n_trees as f64;
-                    }
-                }
-            }
-            drcshap::shap::InteractionValues::from_values(matrix, m)
+            drcshap::shap::forest_shap_interactions(forest, x)
                 .top_pairs(top)
                 .into_iter()
                 .map(|(i, j, phi)| InteractionPair {
