@@ -22,18 +22,33 @@
 //! cargo run --release -p drcshap-bench --bin analytics_bench -- --gate BENCH_serve.json
 //! ```
 //!
+//! `--out` and `--gate` are the shared harness's (`drcshap_bench::gate`):
+//! the report is the `analytics` section of the baseline file, a baseline
+//! must match this run's features, vectors and shards, and the gated
+//! throughput is `fold_vectors_per_s`.
+//!
 //! Environment knobs: `DRCSHAP_ANALYTICS_FEATURES` (default 64),
 //! `DRCSHAP_ANALYTICS_VECTORS` (default 1_000_000 — the acceptance run
-//! folds a million vectors), `DRCSHAP_ANALYTICS_SHARDS` (merge fan-in,
-//! default 8), and `DRCSHAP_BENCH_TOLERANCE` (gate slack, default 0.25).
+//! folds a million vectors), and `DRCSHAP_ANALYTICS_SHARDS` (merge fan-in,
+//! default 8).
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance};
-use drcshap_bench::{env_f64, env_usize, take_value};
+use drcshap_bench::env_usize;
+use drcshap_bench::gate::Bench;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// This bench's declaration to the shared gate.
+const BENCH: Bench = Bench {
+    section: "analytics",
+    knobs: &["features", "vectors", "shards"],
+    positive: &["fold_vectors_per_s"],
+    gated: "fold_vectors_per_s",
+};
 
 /// One seeded "explained request": a feature row and a SHAP-shaped φ
 /// vector — log-spread magnitudes over several decades (the shape real
@@ -54,80 +69,12 @@ fn seeded_case(rng: &mut ChaCha8Rng, m: usize, x: &mut Vec<f32>, phi: &mut Vec<f
     }
 }
 
-fn baseline_f64(section: &serde_json::Value, field: &str) -> Option<f64> {
-    section.get(field).and_then(serde_json::Value::as_f64)
-}
-
-fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("error: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let Some(baseline) = doc.get("analytics") else {
-        eprintln!(
-            "error: baseline {baseline_path} has no `analytics` section — regenerate it with \
-             `analytics_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    // Comparing runs at different knobs is meaningless.
-    for knob in ["features", "vectors", "shards"] {
-        let base = baseline.get(knob).and_then(serde_json::Value::as_u64);
-        let ours = fresh.get(knob).and_then(serde_json::Value::as_u64);
-        if base != ours {
-            eprintln!(
-                "error: baseline {knob} {base:?} differs from this run's {ours:?}; \
-                 regenerate {baseline_path} or match the env knobs"
-            );
-            std::process::exit(1);
-        }
-    }
-    if baseline.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
-        eprintln!("error: baseline {baseline_path} analytics section was not bit-identical");
-        std::process::exit(1);
-    }
-    let base_tp = baseline_f64(baseline, "fold_vectors_per_s").unwrap_or(0.0);
-    if base_tp <= 0.0 {
-        eprintln!(
-            "error: baseline fold_vectors_per_s is null/non-positive — a placeholder that \
-             never got regenerated"
-        );
-        std::process::exit(1);
-    }
-    let fresh_tp = baseline_f64(fresh, "fold_vectors_per_s").expect("fresh report has throughput");
-    let floor = base_tp * (1.0 - tolerance);
-    if fresh_tp < floor {
-        eprintln!(
-            "error: fold throughput regressed: {fresh_tp:.0} vectors/s vs baseline \
-             {base_tp:.0} (floor {floor:.0} at tolerance {tolerance})"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("gate ok: {fresh_tp:.0} vectors/s vs baseline {base_tp:.0} (floor {floor:.0})");
-}
-
-#[allow(clippy::too_many_lines)]
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = take_value(&mut args, "--out");
-    let gate_path = take_value(&mut args, "--gate");
-    if let Some(extra) = args.first() {
-        eprintln!("error: unexpected argument {extra:?}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let harness = drcshap_bench::harness(&BENCH, std::env::args().skip(1).collect());
 
     let m = env_usize("DRCSHAP_ANALYTICS_FEATURES", 64);
     let n_vectors = env_usize("DRCSHAP_ANALYTICS_VECTORS", 1_000_000);
     let fan_in = env_usize("DRCSHAP_ANALYTICS_SHARDS", 8).max(2);
-    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
-        std::process::exit(2);
-    }
 
     let config = AnalyticsConfig::default();
     let provenance = Provenance { artifact_crc: 42, schema_fingerprint: 7, model_epoch: 1 };
@@ -205,8 +152,6 @@ fn main() {
     );
 
     let report = serde_json::json!({
-        "bench": "analytics_bench",
-        "status": "measured",
         "features": m,
         "vectors": n_vectors,
         "shards": fan_in,
@@ -220,41 +165,5 @@ fn main() {
         "digest": single.digest(),
         "bit_identical": true,
     });
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{pretty}");
-
-    if let Some(path) = out_path {
-        // Never overwrite a baseline with numbers the gate would reject.
-        if !fold_tp.is_finite() || fold_tp <= 0.0 {
-            eprintln!("error: refusing to write {path}: fold throughput is {fold_tp}");
-            std::process::exit(1);
-        }
-        // Merge into the existing baseline so the serve/gateway/registry/
-        // xsat sections other benches maintain survive.
-        let mut doc: serde_json::Value = match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} is not valid JSON: {e}");
-                std::process::exit(1);
-            }),
-            Err(_) => serde_json::json!({}),
-        };
-        match doc.as_object_mut() {
-            Some(obj) => {
-                obj.insert("analytics".to_string(), report.clone());
-            }
-            None => {
-                eprintln!("error: {path} is not a JSON object; cannot merge an analytics section");
-                std::process::exit(1);
-            }
-        }
-        let merged_doc = serde_json::to_string_pretty(&doc).expect("merged report serializes");
-        std::fs::write(&path, format!("{merged_doc}\n")).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("merged analytics section into {path}");
-    }
-    if let Some(path) = gate_path {
-        run_gate(&path, &report, tolerance);
-    }
+    harness.finish(report).exit_code()
 }

@@ -13,48 +13,37 @@
 //! cargo run --release -p drcshap-bench --bin gateway_bench -- --gate BENCH_serve.json
 //! ```
 //!
-//! `--out <path>` merges the report under a `"gateway"` key, preserving
-//! whatever else the file holds (the serve_bench fields); a missing file
-//! is created fresh. `--gate <baseline.json>` fails (exit 1) when the
-//! baseline has no usable `gateway.healthy.throughput_per_s`, when the
-//! baseline was not bit-identical, or when fresh healthy throughput
-//! regresses more than `DRCSHAP_BENCH_TOLERANCE` (default 0.25) below it.
+//! `--out` and `--gate` are the shared harness's (`drcshap_bench::gate`):
+//! the report is the `gateway` section of the baseline file, a baseline
+//! must match this run's trees, features, shards and clients, and the
+//! gated throughput is `healthy.throughput_per_s`.
 //!
 //! Environment knobs: `DRCSHAP_SERVE_TREES` (default 100),
 //! `DRCSHAP_SERVE_FEATURES` (default 64), `DRCSHAP_GATEWAY_SHARDS`
 //! (default 4), `DRCSHAP_GATEWAY_CLIENTS` (default 4),
 //! `DRCSHAP_GATEWAY_SECS` (per-phase wall clock, default 0.6).
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use drcshap_bench::{env_f64, env_usize, take_value};
-use drcshap_forest::{RandomForest, RandomForestTrainer};
+use drcshap_bench::gate::Bench;
+use drcshap_bench::{env_f64, env_usize, quantile, synthetic_dataset};
+use drcshap_forest::RandomForestTrainer;
 use drcshap_gateway::{Gateway, GatewayConfig, Request};
-use drcshap_ml::{Dataset, Trainer};
+use drcshap_ml::Trainer;
 use drcshap_serve::ServeConfig;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> RandomForest {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(rows * m);
-    let mut y = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut acc = 0.0f32;
-        for j in 0..m {
-            let v: f32 = rng.gen_range(0.0..1.0);
-            if j % 7 == 0 {
-                acc += v;
-            }
-            x.push(v);
-        }
-        y.push(acc > 0.5 * (m as f32 / 7.0));
-    }
-    let data = Dataset::from_parts(x, y, vec![0; rows], m);
-    RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, seed)
-}
+/// This bench's declaration to the shared gate.
+const BENCH: Bench = Bench {
+    section: "gateway",
+    knobs: &["trees", "features", "shards", "clients"],
+    positive: &["healthy.throughput_per_s", "one_slow_shard.throughput_per_s"],
+    gated: "healthy.throughput_per_s",
+};
 
 /// One load phase: throughput plus client-observed latency quantiles.
 struct PhaseResult {
@@ -108,95 +97,29 @@ fn run_phase(
     });
     let elapsed = started.elapsed().as_secs_f64();
     latencies_us.sort_by(f64::total_cmp);
-    let quantile = |q: f64| -> f64 {
-        if latencies_us.is_empty() {
-            return f64::NAN;
-        }
-        let idx = ((latencies_us.len() - 1) as f64 * q).round() as usize;
-        latencies_us[idx]
-    };
     PhaseResult {
         throughput_per_s: latencies_us.len() as f64 / elapsed,
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
+        p50_us: quantile(&latencies_us, 0.50),
+        p99_us: quantile(&latencies_us, 0.99),
     }
 }
 
-/// A finite, positive number from a nested baseline field.
-fn baseline_number(report: &serde_json::Value, path: &[&str]) -> Option<f64> {
-    let mut v = report;
-    for key in path {
-        v = v.get(key)?;
-    }
-    v.as_f64().filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// The CI regression gate: fresh healthy throughput vs the committed
-/// baseline's `gateway.healthy.throughput_per_s`.
-fn run_gate(baseline_path: &str, fresh_healthy: f64, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("gate: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("gate: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let gateway = baseline.get("gateway").unwrap_or(&serde_json::Value::Null);
-    if gateway.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
-        eprintln!("gate: baseline {baseline_path} gateway section was not bit-identical");
-        std::process::exit(1);
-    }
-    let Some(base) = baseline_number(&baseline, &["gateway", "healthy", "throughput_per_s"]) else {
-        eprintln!(
-            "gate: baseline {baseline_path} has no usable gateway.healthy.throughput_per_s — \
-             regenerate it with `gateway_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    let floor = base * (1.0 - tolerance);
-    eprintln!(
-        "gate: fresh healthy {fresh_healthy:.3e}/s vs baseline {base:.3e}/s \
-         ({:.1}% of baseline, floor {:.0}%)",
-        fresh_healthy / base * 100.0,
-        (1.0 - tolerance) * 100.0
-    );
-    if fresh_healthy < floor {
-        eprintln!(
-            "gate: FAIL — gateway throughput regressed more than {:.0}% below the baseline",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!("gate: PASS");
-}
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = take_value(&mut args, "--out");
-    let gate_path = take_value(&mut args, "--gate");
-    if let Some(extra) = args.first() {
-        eprintln!("error: unexpected argument {extra:?}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let harness = drcshap_bench::harness(&BENCH, std::env::args().skip(1).collect());
 
     let n_trees = env_usize("DRCSHAP_SERVE_TREES", 100);
     let m = env_usize("DRCSHAP_SERVE_FEATURES", 64);
     let shards = env_usize("DRCSHAP_GATEWAY_SHARDS", 4);
     let clients = env_usize("DRCSHAP_GATEWAY_CLIENTS", 4);
     let secs = env_f64("DRCSHAP_GATEWAY_SECS", 0.6);
-    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
-        std::process::exit(2);
-    }
     if !secs.is_finite() || secs <= 0.0 {
         eprintln!("error: DRCSHAP_GATEWAY_SECS must be positive, got {secs}");
         std::process::exit(2);
     }
 
     eprintln!("training {n_trees}-tree forest on {m} features...");
-    let rf = train_forest(n_trees, m, 2000, 42);
+    let data = synthetic_dataset(2000, m, 7, 42);
+    let rf = RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, 42);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let probes: Vec<Vec<f32>> =
         (0..256).map(|_| (0..m).map(|_| rng.gen_range(0.0f32..1.0)).collect()).collect();
@@ -229,9 +152,11 @@ fn main() {
     let hedges = metrics.hedges_total - hedges_before;
     gateway.shutdown();
 
+    eprintln!(
+        "healthy {:.3e}/s p99 {:.0}us | one-slow-shard {:.3e}/s p99 {:.0}us ({hedges} hedges)",
+        healthy.throughput_per_s, healthy.p99_us, slow.throughput_per_s, slow.p99_us
+    );
     let report = serde_json::json!({
-        "bench": "gateway_bench",
-        "status": "measured",
         "trees": n_trees,
         "features": m,
         "shards": shards,
@@ -251,48 +176,5 @@ fn main() {
         },
         "bit_identical": true,
     });
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{pretty}");
-    eprintln!(
-        "healthy {:.3e}/s p99 {:.0}us | one-slow-shard {:.3e}/s p99 {:.0}us ({hedges} hedges)",
-        healthy.throughput_per_s, healthy.p99_us, slow.throughput_per_s, slow.p99_us
-    );
-
-    if let Some(path) = out_path {
-        for (name, value) in [
-            ("healthy throughput", healthy.throughput_per_s),
-            ("one-slow-shard throughput", slow.throughput_per_s),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                eprintln!("error: refusing to write {path}: {name} is {value}");
-                std::process::exit(1);
-            }
-        }
-        // Merge under the `gateway` key, preserving the serve_bench fields.
-        let mut doc: serde_json::Value = match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} exists but is not valid JSON: {e}");
-                std::process::exit(1);
-            }),
-            Err(_) => serde_json::json!({}),
-        };
-        match doc.as_object_mut() {
-            Some(obj) => {
-                obj.insert("gateway".to_string(), report);
-            }
-            None => {
-                eprintln!("error: {path} is not a JSON object; cannot merge a gateway section");
-                std::process::exit(1);
-            }
-        }
-        let merged = serde_json::to_string_pretty(&doc).expect("merged report serializes");
-        std::fs::write(&path, format!("{merged}\n")).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("merged gateway section into {path}");
-    }
-    if let Some(path) = gate_path {
-        run_gate(&path, healthy.throughput_per_s, tolerance);
-    }
+    harness.finish(report).exit_code()
 }

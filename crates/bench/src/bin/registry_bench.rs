@@ -14,48 +14,34 @@
 //! cargo run --release -p drcshap-bench --bin registry_bench -- --gate BENCH_serve.json
 //! ```
 //!
-//! `--out <path>` merges the report under a `"registry"` key, preserving
-//! whatever else the file holds; a missing file is created fresh.
-//! `--gate <baseline.json>` fails (exit 1) when the baseline has no
-//! usable `registry.publish_per_s`, when the baseline was not
-//! bit-identical, or when fresh publish throughput regresses more than
-//! `DRCSHAP_BENCH_TOLERANCE` (default 0.25) below it.
+//! `--out` and `--gate` are the shared harness's (`drcshap_bench::gate`):
+//! the report is the `registry` section of the baseline file, a baseline
+//! must match this run's trees, features and publishes, and the gated
+//! throughput is `publish_per_s`.
 //!
 //! Environment knobs: `DRCSHAP_REGISTRY_TREES` (default 20),
 //! `DRCSHAP_REGISTRY_FEATURES` (default 64), `DRCSHAP_REGISTRY_PUBLISHES`
 //! (publishes timed for throughput, default 64),
 //! `DRCSHAP_REGISTRY_OPENS` (`open_latest` calls timed, default 200).
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use drcshap_bench::{env_f64, env_usize, take_value};
+use drcshap_bench::gate::Bench;
+use drcshap_bench::{env_usize, quantile, synthetic_dataset};
 use drcshap_core::SavedModel;
 use drcshap_forest::RandomForestTrainer;
-use drcshap_ml::{Dataset, Trainer};
+use drcshap_ml::Trainer;
 use drcshap_store::{FsBackend, Registry, StorageBackend};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-fn train_forest(n_trees: usize, m: usize, rows: usize, seed: u64) -> SavedModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(rows * m);
-    let mut y = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut acc = 0.0f32;
-        for j in 0..m {
-            let v: f32 = rng.gen_range(0.0..1.0);
-            if j % 7 == 0 {
-                acc += v;
-            }
-            x.push(v);
-        }
-        y.push(acc > 0.5 * (m as f32 / 7.0));
-    }
-    let data = Dataset::from_parts(x, y, vec![0; rows], m);
-    SavedModel::Rf(RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, seed))
-}
+/// This bench's declaration to the shared gate.
+const BENCH: Bench = Bench {
+    section: "registry",
+    knobs: &["trees", "features", "publishes"],
+    positive: &["publish_per_s", "open_latest_p50_us"],
+    gated: "publish_per_s",
+};
 
 /// A fresh throwaway registry directory plus its opened handle.
 fn fresh_registry(dir: &std::path::Path) -> Registry {
@@ -65,77 +51,18 @@ fn fresh_registry(dir: &std::path::Path) -> Registry {
     Registry::open(backend as Arc<dyn StorageBackend>).expect("registry open")
 }
 
-/// A finite, positive number from a nested baseline field.
-fn baseline_number(report: &serde_json::Value, path: &[&str]) -> Option<f64> {
-    let mut v = report;
-    for key in path {
-        v = v.get(key)?;
-    }
-    v.as_f64().filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// The CI regression gate: fresh publish throughput vs the committed
-/// baseline's `registry.publish_per_s`.
-fn run_gate(baseline_path: &str, fresh_publish: f64, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("gate: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("gate: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let registry = baseline.get("registry").unwrap_or(&serde_json::Value::Null);
-    if registry.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
-        eprintln!("gate: baseline {baseline_path} registry section was not bit-identical");
-        std::process::exit(1);
-    }
-    let Some(base) = baseline_number(&baseline, &["registry", "publish_per_s"]) else {
-        eprintln!(
-            "gate: baseline {baseline_path} has no usable registry.publish_per_s — \
-             regenerate it with `registry_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    let floor = base * (1.0 - tolerance);
-    eprintln!(
-        "gate: fresh publish {fresh_publish:.3e}/s vs baseline {base:.3e}/s \
-         ({:.1}% of baseline, floor {:.0}%)",
-        fresh_publish / base * 100.0,
-        (1.0 - tolerance) * 100.0
-    );
-    if fresh_publish < floor {
-        eprintln!(
-            "gate: FAIL — registry publish throughput regressed more than {:.0}% below the \
-             baseline",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!("gate: PASS");
-}
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = take_value(&mut args, "--out");
-    let gate_path = take_value(&mut args, "--gate");
-    if let Some(extra) = args.first() {
-        eprintln!("error: unexpected argument {extra:?}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let harness = drcshap_bench::harness(&BENCH, std::env::args().skip(1).collect());
 
     let n_trees = env_usize("DRCSHAP_REGISTRY_TREES", 20);
     let m = env_usize("DRCSHAP_REGISTRY_FEATURES", 64);
     let publishes = env_usize("DRCSHAP_REGISTRY_PUBLISHES", 64).max(1);
     let opens = env_usize("DRCSHAP_REGISTRY_OPENS", 200).max(1);
-    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
-        std::process::exit(2);
-    }
 
     eprintln!("training {n_trees}-tree forest on {m} features...");
-    let model = train_forest(n_trees, m, 1000, 42);
+    let data = synthetic_dataset(1000, m, 7, 42);
+    let model =
+        SavedModel::Rf(RandomForestTrainer { n_trees, ..Default::default() }.fit(&data, 42));
     let dir = std::env::temp_dir().join(format!("drcshap-registry-bench-{}", std::process::id()));
 
     // Publish throughput: full atomic protocol (blob write + 2 fsyncs +
@@ -162,8 +89,7 @@ fn main() {
         assert_eq!(loaded.fingerprint, expected_fingerprint, "fingerprint lost");
     }
     open_us.sort_by(f64::total_cmp);
-    let quantile = |q: f64| open_us[((open_us.len() - 1) as f64 * q).round() as usize];
-    let (open_p50_us, open_p99_us) = (quantile(0.50), quantile(0.99));
+    let (open_p50_us, open_p99_us) = (quantile(&open_us, 0.50), quantile(&open_us, 0.99));
 
     // Recovery cost as the journal grows: time Registry::open on fresh
     // registries with increasingly long journals.
@@ -185,9 +111,11 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
+    eprintln!(
+        "publish {publish_per_s:.3e}/s ({blob_bytes}-byte blobs) | open_latest p50 \
+         {open_p50_us:.0}us p99 {open_p99_us:.0}us"
+    );
     let report = serde_json::json!({
-        "bench": "registry_bench",
-        "status": "measured",
         "trees": n_trees,
         "features": m,
         "publishes": publishes,
@@ -198,47 +126,5 @@ fn main() {
         "recovery": recovery,
         "bit_identical": true,
     });
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{pretty}");
-    eprintln!(
-        "publish {publish_per_s:.3e}/s ({blob_bytes}-byte blobs) | open_latest p50 \
-         {open_p50_us:.0}us p99 {open_p99_us:.0}us"
-    );
-
-    if let Some(path) = out_path {
-        for (name, value) in
-            [("publish throughput", publish_per_s), ("open_latest p50", open_p50_us)]
-        {
-            if !value.is_finite() || value <= 0.0 {
-                eprintln!("error: refusing to write {path}: {name} is {value}");
-                std::process::exit(1);
-            }
-        }
-        // Merge under the `registry` key, preserving the other sections.
-        let mut doc: serde_json::Value = match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} exists but is not valid JSON: {e}");
-                std::process::exit(1);
-            }),
-            Err(_) => serde_json::json!({}),
-        };
-        match doc.as_object_mut() {
-            Some(obj) => {
-                obj.insert("registry".to_string(), report);
-            }
-            None => {
-                eprintln!("error: {path} is not a JSON object; cannot merge a registry section");
-                std::process::exit(1);
-            }
-        }
-        let merged = serde_json::to_string_pretty(&doc).expect("merged report serializes");
-        std::fs::write(&path, format!("{merged}\n")).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("merged registry section into {path}");
-    }
-    if let Some(path) = gate_path {
-        run_gate(&path, publish_per_s, tolerance);
-    }
+    harness.finish(report).exit_code()
 }

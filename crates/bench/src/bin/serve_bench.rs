@@ -17,21 +17,12 @@
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --trace serve.json --stats
 //! ```
 //!
-//! The report records the host it ran on (`host.cpus`, `host.cpu`) and
-//! the wall time of the forest fit (`fit_s`, recorded but not gated; the
-//! training data is generated before its clock starts).
-//! `--out <path>` merges the serve fields into an existing JSON baseline
-//! (preserving the `gateway`, `registry`, and `xsat` sections other
-//! benches maintain) or creates the file fresh.
-//!
-//! `--gate <baseline.json>` compares the fresh run against a committed
-//! baseline: it fails (exit 1) when the baseline's recorded knobs (trees,
-//! features, batch) differ from this run's environment knobs — comparing
-//! runs at different knobs is meaningless — when the baseline was not
-//! bit-identical, when the baseline's `compiled_batch_per_s` is null or
-//! non-positive (a placeholder that never got regenerated), or when fresh
-//! compiled throughput regresses more than `DRCSHAP_BENCH_TOLERANCE`
-//! (default 0.25, i.e. 25%) below the baseline.
+//! The report records the wall time of the forest fit (`fit_s`, recorded
+//! but not gated; the training data is generated before its clock starts).
+//! `--out` and `--gate` are the shared harness's (`drcshap_bench::gate`):
+//! the report is the `serve` section of the baseline file, a baseline must
+//! match this run's trees, features, batch and depth, and the gated
+//! throughput is `compiled_batch_per_s`.
 //!
 //! Environment knobs: `DRCSHAP_SERVE_TREES` (default 100),
 //! `DRCSHAP_SERVE_FEATURES` (default 64), `DRCSHAP_SERVE_SAMPLES`
@@ -39,11 +30,13 @@
 //! `DRCSHAP_SERVE_DEPTH` (max tree depth; default 0 = unpruned — small
 //! depths sweep the tree size the compiled walk is measured at).
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use drcshap_bench::{env_f64, env_usize, take_value};
+use drcshap_bench::gate::Bench;
+use drcshap_bench::{env_usize, synthetic_dataset, take_value};
 use drcshap_forest::RandomForestTrainer;
-use drcshap_ml::{Dataset, NanPolicy, Trainer};
+use drcshap_ml::{NanPolicy, Trainer};
 use drcshap_serve::{CompiledForest, ServeConfig, ServeEngine};
 use drcshap_shap::explain_forest;
 use drcshap_telemetry as telemetry;
@@ -53,6 +46,20 @@ use rand_chacha::ChaCha8Rng;
 
 /// How many probe rows the explanation section explains per timed call.
 const EXPLAIN_ROWS: usize = 32;
+
+/// This bench's declaration to the shared gate.
+const BENCH: Bench = Bench {
+    section: "serve",
+    knobs: &["trees", "features", "batch", "depth"],
+    positive: &[
+        "single_sample_per_s",
+        "compiled_batch_per_s",
+        "nan_aware_batch_per_s",
+        "engine_per_s",
+        "explain_per_s",
+    ],
+    gated: "compiled_batch_per_s",
+};
 
 /// Runs `body` (which processes `per_call` samples) until ~0.5 s of wall
 /// clock is spent, after one warmup call; returns samples/second.
@@ -68,102 +75,8 @@ fn throughput(per_call: usize, mut body: impl FnMut()) -> f64 {
     (calls * per_call as u64) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The forest's training set: `rows` of `m` uniform features, labelled by
-/// whether the sum of every seventh feature exceeds `m / 14`.
-fn training_data(m: usize, rows: usize, seed: u64) -> Dataset {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(rows * m);
-    let mut y = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut acc = 0.0f32;
-        for j in 0..m {
-            let v: f32 = rng.gen_range(0.0..1.0);
-            if j % 7 == 0 {
-                acc += v;
-            }
-            x.push(v);
-        }
-        y.push(acc > 0.5 * (m as f32 / 7.0));
-    }
-    Dataset::from_parts(x, y, vec![0; rows], m)
-}
-
-/// A finite, positive throughput from a baseline field — anything else
-/// (missing, null, zero, the unregenerated placeholder) is `None`.
-fn baseline_throughput(report: &serde_json::Value, field: &str) -> Option<f64> {
-    report.get(field)?.as_f64().filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// One throughput comparison inside the gate: fails (exit 1) when `fresh`
-/// drops more than `tolerance` below `base`.
-fn gate_compare(what: &str, fresh: f64, base: f64, tolerance: f64) {
-    let floor = base * (1.0 - tolerance);
-    eprintln!(
-        "gate: fresh {what} {fresh:.3e}/s vs baseline {base:.3e}/s ({:.1}% of baseline, \
-         floor {:.0}%)",
-        fresh / base * 100.0,
-        (1.0 - tolerance) * 100.0
-    );
-    if fresh < floor {
-        eprintln!(
-            "gate: FAIL — {what} throughput regressed more than {:.0}% below the baseline",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The CI regression gate: fresh vs committed baseline. Refuses (exit 1)
-/// a baseline recorded at different knobs than this run — the two are not
-/// comparable — then fails on a null/placeholder or non-bit-identical
-/// baseline, or a fresh compiled throughput more than `tolerance` below
-/// the baseline.
-fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("gate: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("gate: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    // Knob guard: a baseline committed at different TREES/FEATURES/SAMPLES
-    // knobs would make every comparison below meaningless — refuse rather
-    // than pass or fail on noise.
-    for knob in ["trees", "features", "batch", "depth"] {
-        let base_knob = baseline.get(knob).and_then(serde_json::Value::as_u64);
-        let fresh_knob = fresh.get(knob).and_then(serde_json::Value::as_u64);
-        if base_knob != fresh_knob {
-            eprintln!(
-                "gate: REFUSED — baseline {baseline_path} was recorded with {knob}={}, but \
-                 this run uses {knob}={}; rerun with the baseline's DRCSHAP_SERVE_* knobs or \
-                 regenerate the baseline",
-                base_knob.map_or("null".to_string(), |v| v.to_string()),
-                fresh_knob.map_or("null".to_string(), |v| v.to_string()),
-            );
-            std::process::exit(1);
-        }
-    }
-    if baseline.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
-        eprintln!("gate: baseline {baseline_path} was not bit-identical — rejecting it");
-        std::process::exit(1);
-    }
-    let Some(base_compiled) = baseline_throughput(&baseline, "compiled_batch_per_s") else {
-        eprintln!(
-            "gate: baseline {baseline_path} has a null or non-positive compiled_batch_per_s \
-             — regenerate it with `serve_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    let fresh_compiled = fresh["compiled_batch_per_s"].as_f64().expect("fresh report is complete");
-    gate_compare("compiled", fresh_compiled, base_compiled, tolerance);
-    eprintln!("gate: PASS");
-}
-
-fn main() {
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = take_value(&mut args, "--out");
-    let gate_path = take_value(&mut args, "--gate");
     let trace_path = take_value(&mut args, "--trace");
     let stats = match args.iter().position(|a| a == "--stats") {
         Some(pos) => {
@@ -172,10 +85,7 @@ fn main() {
         }
         None => false,
     };
-    if let Some(extra) = args.first() {
-        eprintln!("error: unexpected argument {extra:?}");
-        std::process::exit(2);
-    }
+    let harness = drcshap_bench::harness(&BENCH, args);
     if trace_path.is_some() || stats {
         telemetry::enable();
     }
@@ -187,14 +97,9 @@ fn main() {
     // (see DESIGN.md §16).
     let depth = env_usize("DRCSHAP_SERVE_DEPTH", 0);
     let max_depth = if depth == 0 { None } else { Some(depth) };
-    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
-        std::process::exit(2);
-    }
 
     eprintln!("training {n_trees}-tree forest on {m} features (depth {depth}; 0 = unpruned)...");
-    let data = training_data(m, 2000, 42);
+    let data = synthetic_dataset(2000, m, 7, 42);
     let fit_start = Instant::now();
     let rf = RandomForestTrainer { n_trees, max_depth, ..Default::default() }.fit(&data, 42);
     let fit_s = fit_start.elapsed().as_secs_f64();
@@ -286,10 +191,19 @@ fn main() {
     });
 
     let speedup = compiled_tp / single;
+    eprintln!("speedup compiled-batch vs single-sample: {speedup:.1}x");
+    if let Some(path) = trace_path {
+        std::fs::write(&path, telemetry::hub().chrome_trace()).unwrap_or_else(|e| {
+            eprintln!("error: cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("wrote Chrome trace to {path}");
+    }
+    if stats {
+        let summary = telemetry::hub().summary();
+        eprintln!("{}", serde_json::to_string_pretty(&summary).expect("summary serialize"));
+    }
     let report = serde_json::json!({
-        "bench": "serve_bench",
-        "status": "measured",
-        "host": drcshap_bench::host(),
         "trees": n_trees,
         "features": m,
         "batch": batch,
@@ -309,62 +223,5 @@ fn main() {
         "explain_max_gap": explain_max_gap,
         "bit_identical": true,
     });
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{pretty}");
-    if let Some(path) = out_path {
-        // Never overwrite a baseline with numbers the gate would reject.
-        for (field, value) in [
-            ("single", single),
-            ("compiled", compiled_tp),
-            ("nan", nan_tp),
-            ("engine", engine_tp),
-            ("explain", explain_tp),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                eprintln!("error: refusing to write {path}: {field} throughput is {value}");
-                std::process::exit(1);
-            }
-        }
-        // Merge into the existing baseline so the `gateway`, `registry`,
-        // and `xsat` sections other benches maintain survive.
-        let mut doc: serde_json::Value = match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} is not valid JSON: {e}");
-                std::process::exit(1);
-            }),
-            Err(_) => serde_json::json!({}),
-        };
-        match (doc.as_object_mut(), report.as_object()) {
-            (Some(obj), Some(fresh)) => {
-                for (key, value) in fresh {
-                    obj.insert(key.clone(), value.clone());
-                }
-            }
-            _ => {
-                eprintln!("error: {path} is not a JSON object; cannot merge the serve fields");
-                std::process::exit(1);
-            }
-        }
-        let merged = serde_json::to_string_pretty(&doc).expect("merged report serializes");
-        std::fs::write(&path, format!("{merged}\n")).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("merged serve fields into {path}");
-    }
-    eprintln!("speedup compiled-batch vs single-sample: {speedup:.1}x");
-    if let Some(path) = trace_path {
-        std::fs::write(&path, telemetry::hub().chrome_trace()).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if stats {
-        let summary = telemetry::hub().summary();
-        eprintln!("{}", serde_json::to_string_pretty(&summary).expect("summary serialize"));
-    }
-    if let Some(path) = gate_path {
-        run_gate(&path, &report, tolerance);
-    }
+    harness.finish(report).exit_code()
 }

@@ -15,15 +15,10 @@
 //! cargo run --release -p drcshap-bench --bin xsat_bench -- --gate BENCH_serve.json
 //! ```
 //!
-//! The report records the host it ran on (`host.cpus`, `host.cpu`).
-//! `--out <path>` merges the report under an `"xsat"` key, preserving
-//! whatever else the file holds (serve_bench / gateway_bench fields); a
-//! missing file is created fresh. `--gate <baseline.json>` fails (exit 1)
-//! when the baseline's xsat section was recorded at other knobs (trees,
-//! depth, features) than this run — comparing runs at different knobs is
-//! meaningless — when it has no usable `xsat.primary.explanations_per_s`,
-//! when it was not bit-identical, or when fresh throughput regresses more
-//! than `DRCSHAP_BENCH_TOLERANCE` (default 0.25) below it.
+//! `--out` and `--gate` are the shared harness's (`drcshap_bench::gate`):
+//! the report is the `xsat` section of the baseline file, a baseline must
+//! match this run's trees, depth and features, and the gated throughput is
+//! `primary.explanations_per_s`.
 //!
 //! Environment knobs: `DRCSHAP_XSAT_TREES` (default 25),
 //! `DRCSHAP_XSAT_DEPTH` (default 5), `DRCSHAP_XSAT_FEATURES` (default
@@ -32,33 +27,31 @@
 //! (sufficiency checks near the vote boundary) dramatically harder —
 //! that growth is what `conflicts_vs_shape` charts.
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use drcshap_bench::{env_f64, env_usize, take_value};
+use drcshap_bench::gate::Bench;
+use drcshap_bench::{env_f64, env_usize, synthetic_dataset};
 use drcshap_forest::{RandomForest, RandomForestTrainer};
-use drcshap_ml::{Dataset, Trainer};
+use drcshap_ml::Trainer;
 use drcshap_xsat::{forest_vote, AbductiveEngine, XsatBudget};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn train_forest(n_trees: usize, depth: usize, m: usize, rows: usize, seed: u64) -> RandomForest {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(rows * m);
-    let mut y = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut acc = 0.0f32;
-        for j in 0..m {
-            let v: f32 = rng.gen_range(0.0..1.0);
-            if j % 3 == 0 {
-                acc += v;
-            }
-            x.push(v);
-        }
-        y.push(acc > 0.5 * (m as f32 / 3.0));
-    }
-    let data = Dataset::from_parts(x, y, vec![0; rows], m);
-    RandomForestTrainer { n_trees, max_depth: Some(depth), ..Default::default() }.fit(&data, seed)
+/// This bench's declaration to the shared gate.
+const BENCH: Bench = Bench {
+    section: "xsat",
+    knobs: &["trees", "depth", "features"],
+    positive: &["primary.explanations_per_s"],
+    gated: "primary.explanations_per_s",
+};
+
+/// A `n_trees`-tree depth-`depth` forest on the bench's training set, on
+/// which every third feature decides the label.
+fn train_forest(n_trees: usize, depth: usize, m: usize) -> RandomForest {
+    let data = synthetic_dataset(2000, m, 3, 42);
+    RandomForestTrainer { n_trees, max_depth: Some(depth), ..Default::default() }.fit(&data, 42)
 }
 
 /// One measured configuration: explanation throughput and mean SAT work.
@@ -128,89 +121,13 @@ fn verify_deterministic(forest: &RandomForest, probes: &[Vec<f32>]) {
     assert_eq!(explain_all(), explain_all(), "explanations are not bit-stable across engines");
 }
 
-/// A finite, positive number from a nested baseline field.
-fn baseline_number(report: &serde_json::Value, path: &[&str]) -> Option<f64> {
-    let mut v = report;
-    for key in path {
-        v = v.get(key)?;
-    }
-    v.as_f64().filter(|v| v.is_finite() && *v > 0.0)
-}
-
-/// The CI regression gate: the fresh report's primary throughput vs the
-/// committed baseline's `xsat.primary.explanations_per_s`, refused when the
-/// two were recorded at different knobs.
-fn run_gate(baseline_path: &str, fresh: &serde_json::Value, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("gate: cannot read baseline {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("gate: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let xsat = baseline.get("xsat").unwrap_or(&serde_json::Value::Null);
-    for knob in ["trees", "depth", "features"] {
-        let base_knob = xsat.get(knob).and_then(serde_json::Value::as_u64);
-        let fresh_knob = fresh.get(knob).and_then(serde_json::Value::as_u64);
-        if base_knob != fresh_knob {
-            eprintln!(
-                "gate: REFUSED — baseline {baseline_path} xsat section was recorded with \
-                 {knob}={}, but this run uses {knob}={}; rerun with the baseline's \
-                 DRCSHAP_XSAT_* knobs or regenerate the baseline",
-                base_knob.map_or("null".to_string(), |v| v.to_string()),
-                fresh_knob.map_or("null".to_string(), |v| v.to_string()),
-            );
-            std::process::exit(1);
-        }
-    }
-    if xsat.get("bit_identical").and_then(serde_json::Value::as_bool) != Some(true) {
-        eprintln!("gate: baseline {baseline_path} xsat section was not bit-identical");
-        std::process::exit(1);
-    }
-    let Some(base) = baseline_number(&baseline, &["xsat", "primary", "explanations_per_s"]) else {
-        eprintln!(
-            "gate: baseline {baseline_path} has no usable xsat.primary.explanations_per_s — \
-             regenerate it with `xsat_bench --out {baseline_path}`"
-        );
-        std::process::exit(1);
-    };
-    let fresh = fresh["primary"]["explanations_per_s"].as_f64().expect("fresh report is complete");
-    let floor = base * (1.0 - tolerance);
-    eprintln!(
-        "gate: fresh {fresh:.3e} explanations/s vs baseline {base:.3e}/s \
-         ({:.1}% of baseline, floor {:.0}%)",
-        fresh / base * 100.0,
-        (1.0 - tolerance) * 100.0
-    );
-    if fresh < floor {
-        eprintln!(
-            "gate: FAIL — explanation throughput regressed more than {:.0}% below the baseline",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!("gate: PASS");
-}
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = take_value(&mut args, "--out");
-    let gate_path = take_value(&mut args, "--gate");
-    if let Some(extra) = args.first() {
-        eprintln!("error: unexpected argument {extra:?}");
-        std::process::exit(2);
-    }
+fn main() -> ExitCode {
+    let harness = drcshap_bench::harness(&BENCH, std::env::args().skip(1).collect());
 
     let n_trees = env_usize("DRCSHAP_XSAT_TREES", 25);
     let depth = env_usize("DRCSHAP_XSAT_DEPTH", 5);
     let m = env_usize("DRCSHAP_XSAT_FEATURES", 12);
     let secs = env_f64("DRCSHAP_XSAT_SECS", 0.6);
-    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
-    if !(0.0..1.0).contains(&tolerance) {
-        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
-        std::process::exit(2);
-    }
     if !secs.is_finite() || secs <= 0.0 {
         eprintln!("error: DRCSHAP_XSAT_SECS must be positive, got {secs}");
         std::process::exit(2);
@@ -223,7 +140,7 @@ fn main() {
     // Primary configuration: throughput, SAT work, and the determinism
     // re-proof the gate insists on.
     eprintln!("training {n_trees}-tree depth-{depth} forest on {m} features...");
-    let forest = train_forest(n_trees, depth, m, 2000, 42);
+    let forest = train_forest(n_trees, depth, m);
     verify_deterministic(&forest, &probes);
     let primary = run_phase(&forest, &probes, secs);
     eprintln!(
@@ -242,7 +159,7 @@ fn main() {
     // the sweep exists to chart exactly that growth, not to stall CI.
     let mut sweep = Vec::new();
     for &(t, d) in &[(5usize, 3usize), (10, 4), (15, 5), (25, 6)] {
-        let f = train_forest(t, d, m, 2000, 42);
+        let f = train_forest(t, d, m);
         let r = run_phase(&f, &probes, 0.0);
         eprintln!(
             "sweep trees={t} depth={d}: {:.3e}/s, {:.1} conflicts, {:.1} SAT calls, core {:.1}",
@@ -259,9 +176,6 @@ fn main() {
     }
 
     let report = serde_json::json!({
-        "bench": "xsat_bench",
-        "status": "measured",
-        "host": drcshap_bench::host(),
         "trees": n_trees,
         "depth": depth,
         "features": m,
@@ -275,42 +189,5 @@ fn main() {
         "conflicts_vs_shape": sweep,
         "bit_identical": true,
     });
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{pretty}");
-
-    if let Some(path) = out_path {
-        if !primary.explanations_per_s.is_finite() || primary.explanations_per_s <= 0.0 {
-            eprintln!(
-                "error: refusing to write {path}: primary throughput is {}",
-                primary.explanations_per_s
-            );
-            std::process::exit(1);
-        }
-        // Merge under the `xsat` key, preserving every other section.
-        let mut doc: serde_json::Value = match std::fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} exists but is not valid JSON: {e}");
-                std::process::exit(1);
-            }),
-            Err(_) => serde_json::json!({}),
-        };
-        match doc.as_object_mut() {
-            Some(obj) => {
-                obj.insert("xsat".to_string(), report.clone());
-            }
-            None => {
-                eprintln!("error: {path} is not a JSON object; cannot merge an xsat section");
-                std::process::exit(1);
-            }
-        }
-        let merged = serde_json::to_string_pretty(&doc).expect("merged report serializes");
-        std::fs::write(&path, format!("{merged}\n")).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("merged xsat section into {path}");
-    }
-    if let Some(path) = gate_path {
-        run_gate(&path, &report, tolerance);
-    }
+    harness.finish(report).exit_code()
 }

@@ -2,8 +2,8 @@
 //! Shared harness utilities for the table/figure regeneration binaries,
 //! the gated throughput benches and the Criterion benches:
 //! environment-driven configuration, bench knob and flag parsing, the
-//! host stamp, and the paper's published numbers for side-by-side
-//! reporting.
+//! gated benches' one [`gate`] and training set, and the paper's published
+//! numbers for side-by-side reporting.
 //!
 //! Environment knobs (shared by all binaries):
 //!
@@ -15,6 +15,11 @@
 
 use drcshap_core::pipeline::PipelineConfig;
 use drcshap_core::zoo::{ModelBudget, ModelFamily};
+use drcshap_ml::Dataset;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+pub mod gate;
 
 /// Reads the pipeline configuration from the environment. A malformed or
 /// out-of-range `DRCSHAP_SCALE` prints the typed error and exits with
@@ -94,19 +99,55 @@ pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
-/// The host a bench report's numbers come from: the CPUs usable by this
-/// process and the CPU model.
-pub fn host() -> serde_json::Value {
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let cpu = cpuinfo
-        .lines()
-        .find(|l| l.starts_with("model name"))
-        .and_then(|l| l.split(':').nth(1))
-        .map_or("unknown", str::trim);
-    serde_json::json!({
-        "cpus": std::thread::available_parallelism().map_or(0, |n| n.get()),
-        "cpu": cpu,
-    })
+/// The harness of a gated bench: takes `--out` and `--gate` from `args`,
+/// which must hold nothing else, and reads the gate tolerance
+/// `DRCSHAP_BENCH_TOLERANCE` in `[0, 1)` (default 0.25). A flag without a
+/// value, another argument or a bad tolerance prints an error and exits
+/// with status 2.
+pub fn harness(bench: &'static gate::Bench, mut args: Vec<String>) -> gate::Harness {
+    let out = take_value(&mut args, "--out");
+    let gate = take_value(&mut args, "--gate");
+    if let Some(extra) = args.first() {
+        eprintln!("error: unexpected argument {extra:?}");
+        std::process::exit(2);
+    }
+    let tolerance = env_f64("DRCSHAP_BENCH_TOLERANCE", 0.25);
+    if !(0.0..1.0).contains(&tolerance) {
+        eprintln!("error: DRCSHAP_BENCH_TOLERANCE must be in [0, 1), got {tolerance}");
+        std::process::exit(2);
+    }
+    gate::Harness::new(bench, out, gate, tolerance)
+}
+
+/// The gated benches' training set: `rows` rows of `features` uniform
+/// `[0, 1)` values drawn row-major from ChaCha8 seeded with `seed`, each
+/// labelled by whether the sum of every `stride`-th feature exceeds
+/// `features / (2 · stride)`.
+pub fn synthetic_dataset(rows: usize, features: usize, stride: usize, seed: u64) -> Dataset {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut x = Vec::with_capacity(rows * features);
+    let mut y = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut acc = 0.0f32;
+        for j in 0..features {
+            let v: f32 = rng.gen_range(0.0..1.0);
+            if j % stride == 0 {
+                acc += v;
+            }
+            x.push(v);
+        }
+        y.push(acc > 0.5 * (features as f32 / stride as f32));
+    }
+    Dataset::from_parts(x, y, vec![0; rows], features)
+}
+
+/// The nearest-rank quantile `q` in `[0, 1]` of an ascending slice: the
+/// element at the rounded index `q · (len − 1)`; NaN when it is empty.
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 /// The paper's Table II per-family averages `(TPR*, Prec*, A_prc)` for

@@ -59,7 +59,7 @@ impl Trainer for RusBoostTrainer {
         // AdaBoost.M1 distribution over the full training set.
         let mut dist = vec![1.0 / n as f64; n];
         let mut stages: Vec<(DecisionTree, f64)> = Vec::with_capacity(self.n_iterations);
-        for t in 0..self.n_iterations {
+        for _ in 0..self.n_iterations {
             // Random undersampling: keep all minority samples, draw majority
             // samples (by current distribution) to the target ratio.
             let keep_majority =
@@ -123,7 +123,6 @@ impl Trainer for RusBoostTrainer {
                 *d /= z;
             }
             stages.push((tree, alpha));
-            let _ = t;
         }
         RusBoost { stages, n_features: data.n_features() }
     }
@@ -259,37 +258,5 @@ mod tests {
         for (tree, _) in model.stages() {
             assert!(tree.depth() <= 2);
         }
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use rand::SeedableRng;
-    #[test]
-    #[ignore]
-    fn probe_stages() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for _ in 0..600 {
-            let label = rng.gen_range(0.0..1.0) < 0.05;
-            let v: f32 = if label { rng.gen_range(0.7..1.0) } else { rng.gen_range(0.0..0.8) };
-            x.push(v);
-            x.push(rng.gen_range(0.0..1.0));
-            y.push(label);
-        }
-        let train = Dataset::from_parts(x, y, vec![0; 600], 2);
-        let model = RusBoostTrainer { n_iterations: 30, ..Default::default() }.fit(&train, 3);
-        println!("stages={}", model.stages().len());
-        for (t, a) in model.stages().iter().take(5) {
-            println!(
-                "alpha={a:.4} depth={} leaves={} root_value={:.3}",
-                t.depth(),
-                t.num_leaves(),
-                t.nodes()[0].value
-            );
-        }
-        println!("score(0.9)={} score(0.1)={}", model.score(&[0.9, 0.5]), model.score(&[0.1, 0.5]));
     }
 }

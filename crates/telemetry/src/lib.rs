@@ -10,7 +10,7 @@
 //!    no allocation, no clock read, no thread-local initialisation. Hot
 //!    loops (per-tree fits, router rounds, serve flushes) can stay
 //!    instrumented unconditionally.
-//! 2. **Rayon-safe.** Each thread records spans into its own buffer
+//! 2. **Thread-safe.** Each thread records spans into its own buffer
 //!    (registered once with the global [`TelemetryHub`]); counters are
 //!    shared relaxed atomics, so increments from any number of workers
 //!    merge trivially. Export merges the per-thread buffers and sorts
@@ -235,7 +235,7 @@ pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> SpanGua
 }
 
 /// Adds `delta` to the named counter. Counters are process-global relaxed
-/// atomics, so concurrent increments from rayon workers merge exactly.
+/// atomics, so concurrent increments from any threads merge exactly.
 /// A `delta` of zero still registers the counter (useful to report "this
 /// happened zero times" explicitly). Disabled: one atomic load, no effect.
 #[inline]
@@ -426,7 +426,6 @@ impl TelemetryHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     /// Telemetry state is process-global; tests that record must not
     /// interleave. (`cargo test` runs them on multiple threads.)
@@ -485,13 +484,30 @@ mod tests {
         teardown();
     }
 
+    /// Runs `body(worker)` on four scoped threads at once: each records
+    /// into its own sink, which export must merge.
+    fn on_four_threads(body: impl Fn(u64) + Sync) {
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let (start, body) = (&start, &body);
+                scope.spawn(move || {
+                    start.wait();
+                    body(worker);
+                });
+            }
+        });
+    }
+
     #[test]
-    fn counters_merge_across_rayon_workers() {
+    fn counters_merge_across_threads() {
         let _guard = exclusive();
-        (0..1000u64).into_par_iter().for_each(|i| {
-            counter("test/par_events", 1);
-            if i % 2 == 0 {
-                let _s = span("test/par_span");
+        on_four_threads(|_| {
+            for i in 0..250 {
+                counter("test/par_events", 1);
+                if i % 2 == 0 {
+                    let _s = span("test/par_span");
+                }
             }
         });
         let summary = hub().summary();
@@ -517,16 +533,22 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_and_deterministic() {
         let _guard = exclusive();
-        (0..8u64).into_par_iter().for_each(|_| {
-            let _s = span_with("test/traced", || "worker".to_string());
-            counter("test/traced_count", 1);
+        on_four_threads(|worker| {
+            for _ in 0..2 {
+                let _s = span_with("test/traced", || format!("worker {worker}"));
+                counter("test/traced_count", 1);
+            }
         });
         let a = hub().chrome_trace();
         let b = hub().chrome_trace();
         assert_eq!(a, b, "export must be deterministic for fixed records");
         let parsed: serde_json::Value = serde_json::from_str(&a).unwrap();
         let events = parsed["traceEvents"].as_array().unwrap();
-        assert!(events.len() >= 9, "8 spans + 1 counter, got {}", events.len());
+        let traced: Vec<_> = events.iter().filter(|e| e["name"] == "test/traced").collect();
+        assert_eq!(traced.len(), 8, "2 spans from each of 4 threads");
+        let tids: std::collections::BTreeSet<_> =
+            traced.iter().map(|e| e["tid"].as_u64().unwrap()).collect();
+        assert_eq!(tids.len(), 4, "one sink per thread: {tids:?}");
         for e in events {
             for key in ["name", "cat", "ph", "ts", "pid", "tid"] {
                 assert!(e.get(key).is_some(), "event missing {key}: {e}");

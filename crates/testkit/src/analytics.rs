@@ -20,10 +20,10 @@
 //!   the interaction matrix sums to that feature's φ) on the same
 //!   vectors the sink aggregates.
 //!
-//! Tolerances: `summarize` reduces in rayon's nondeterministic order, so
-//! its float sums can differ from the sink's fixed-point accumulators by
-//! genuine rounding — the comparison allows `1e-9` absolute (both sides
-//! aggregate values well under 1.0). The interaction identity is exact
+//! Tolerances: `summarize` sums in row order in floating point while the
+//! sink accumulates in fixed point, so the two differ by genuine rounding
+//! — the comparison allows `1e-9` absolute (both sides aggregate values
+//! well under 1.0). The interaction identity is exact
 //! mathematics executed in float, held to `1e-8`.
 
 use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance, QuantileSketch, SketchParams};
