@@ -243,12 +243,6 @@ impl QuantileSketch {
         self.buckets.iter().map(|(&id, &n)| BucketEntry { id, n })
     }
 
-    /// Exact number of stream values at or below bucket `id`'s upper edge
-    /// — the sketch CDF is exact at bucket boundaries.
-    pub fn rank_at_or_below(&self, id: i32) -> u64 {
-        self.buckets.range(..=id).map(|(_, &n)| n).sum()
-    }
-
     /// The integer target rank for quantile `q` over `n` values:
     /// `clamp(⌈q·n⌉, 1, n)` — the deterministic tie-breaking rule every
     /// query and oracle shares.

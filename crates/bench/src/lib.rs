@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
-//! Shared harness utilities for the table/figure regeneration binaries,
-//! the gated throughput benches and the Criterion benches:
-//! environment-driven configuration, bench knob and flag parsing, the
-//! gated benches' one [`gate`] and training set, and the paper's published
-//! numbers for side-by-side reporting.
+//! Shared harness utilities for the table/figure regeneration binaries
+//! and the gated throughput benches: environment-driven configuration,
+//! bench knob and flag parsing, the gated benches' one [`gate`] and
+//! training set, and the paper's published numbers for side-by-side
+//! reporting.
 //!
 //! Environment knobs (shared by all binaries):
 //!

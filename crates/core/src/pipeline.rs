@@ -11,7 +11,6 @@ use drcshap_route::{route_design, RouteConfig, RouteOutcome};
 use drcshap_telemetry as telemetry;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline parameters: dataset scale and the substrate configurations.
@@ -170,7 +169,7 @@ pub fn try_build_design(
     Ok(DesignBundle { design, route, report, features })
 }
 
-/// Builds bundles for many specs in parallel (order preserved).
+/// Builds bundles for many specs, one after another in `specs` order.
 ///
 /// # Panics
 ///
@@ -180,7 +179,7 @@ pub fn build_suite(specs: &[DesignSpec], config: &PipelineConfig) -> Vec<DesignB
 }
 
 /// Validated variant of [`build_suite`]: checks the config once up front,
-/// then builds in parallel.
+/// then builds the designs one after another, in `specs` order.
 ///
 /// # Errors
 ///
@@ -190,7 +189,7 @@ pub fn try_build_suite(
     config: &PipelineConfig,
 ) -> Result<Vec<DesignBundle>, DrcshapError> {
     config.validate()?;
-    Ok(specs.par_iter().map(|s| build_design(s, config)).collect())
+    Ok(specs.iter().map(|s| build_design(s, config)).collect())
 }
 
 #[cfg(test)]

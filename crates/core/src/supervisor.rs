@@ -41,7 +41,6 @@ use drcshap_route::{route_design_budgeted, RouteConfig, RouteOutcome};
 use drcshap_telemetry as telemetry;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::artifact::{decode_container, encode_container};
@@ -722,7 +721,8 @@ fn supervise_design(
 /// or cancellation — completed stages are resumed from their checkpoints
 /// and the result is bit-identical to an uninterrupted run.
 ///
-/// Designs run in parallel; a failed design never takes the suite down.
+/// Designs run one after another, in `specs` order; a failed design never
+/// takes the suite down.
 ///
 /// # Errors
 ///
@@ -781,7 +781,7 @@ pub fn run_supervised(
     let fault_armed = AtomicBool::new(true);
     let scaled: Vec<DesignSpec> = specs.iter().map(|s| s.scaled(sup.pipeline.scale)).collect();
     let results: Vec<(Option<DesignBundle>, DesignOutcome)> = scaled
-        .par_iter()
+        .iter()
         .map(|spec| supervise_design(spec, sup, cancel, &fault_armed, &manifest, &manifest_path))
         .collect();
 

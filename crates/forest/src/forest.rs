@@ -8,7 +8,6 @@ use drcshap_telemetry as telemetry;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::ranks::RankStore;
@@ -69,8 +68,7 @@ impl RandomForestTrainer {
     /// each tree, with its bootstrap weights, to `keep`. Tree `t` draws its
     /// bootstrap (`n` samples with replacement, as per-sample counts) and
     /// its CART seed from its own RNG stream, so the trees depend on
-    /// `seed` alone. The vendored rayon stand-in runs `into_par_iter`
-    /// sequentially on the calling thread.
+    /// `seed` alone. They fit one after another on the calling thread.
     pub(crate) fn fit_trees<T>(
         &self,
         data: &Dataset,
@@ -91,7 +89,6 @@ impl RandomForestTrainer {
         };
         let n = data.n_samples();
         (0..self.n_trees)
-            .into_par_iter()
             .map(|t| {
                 let _tree_span = telemetry::span("rf/fit_tree");
                 telemetry::counter("rf/trees_fit", 1);

@@ -84,7 +84,8 @@ pub struct GatewayConfig {
     pub vnodes: usize,
     /// Per-shard engine configuration.
     pub serve: ServeConfig,
-    /// Deadline applied to requests that do not carry their own.
+    /// Deadline applied to requests that do not carry their own. One past
+    /// the end of the clock's range means no deadline.
     pub default_deadline: Option<Duration>,
     /// Retry attempts after the first (0 disables retries).
     pub max_retries: usize,
@@ -209,10 +210,11 @@ impl Request {
         self
     }
 
-    /// Sets a deadline `limit` from now.
+    /// Sets a deadline `limit` from now. A limit past the end of the
+    /// clock's range sets none.
     #[must_use]
     pub fn deadline_in(mut self, limit: Duration) -> Self {
-        self.deadline = Some(Instant::now() + limit);
+        self.deadline = Instant::now().checked_add(limit);
         self
     }
 }
@@ -369,7 +371,9 @@ impl Gateway {
             telemetry::counter("gateway/shed_quota", 1);
             return Err(DrcshapError::Overloaded { capacity: self.admission.capacity() });
         }
-        let deadline = request.deadline.or_else(|| self.config.default_deadline.map(|d| t0 + d));
+        let deadline = request
+            .deadline
+            .or_else(|| self.config.default_deadline.and_then(|d| t0.checked_add(d)));
         // O(1) pre-route shed: an already-expired deadline costs no
         // routing work, no queue slot, and no scoring — the response
         // carries the shard-untouched marker to prove it.
@@ -814,6 +818,8 @@ fn sleep_until(at: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drcshap_forest::RandomForestTrainer;
+    use drcshap_ml::{Dataset, Trainer};
 
     #[test]
     fn config_validates_its_knobs() {
@@ -825,6 +831,37 @@ mod tests {
         };
         assert!(bad_quota.validate().is_err());
         assert!(GatewayConfig::default().validate().is_ok());
+    }
+
+    /// A one-shard fleet over a 4-tree forest on two features.
+    fn small_gateway(default_deadline: Option<Duration>) -> Gateway {
+        let n = 40;
+        let x: Vec<f32> = (0..2 * n).map(|i| (i % 10) as f32 / 10.0).collect();
+        let y: Vec<bool> = (0..n).map(|i| x[2 * i] > 0.5).collect();
+        let data = Dataset::from_parts(x, y, vec![0; n], 2);
+        let forest = RandomForestTrainer { n_trees: 4, ..Default::default() }.fit(&data, 1);
+        let config = GatewayConfig {
+            shards: 1,
+            serve: ServeConfig { workers: 1, ..Default::default() },
+            default_deadline,
+            ..Default::default()
+        };
+        Gateway::start(config, forest, 7).expect("start")
+    }
+
+    #[test]
+    fn a_request_deadline_past_the_clock_range_means_none() {
+        let gateway = small_gateway(None);
+        let request = Request::new(vec![0.4, 0.6]).deadline_in(Duration::MAX);
+        assert!(request.deadline.is_none());
+        assert_eq!(gateway.score(request).expect("scored").attempts, 1);
+    }
+
+    #[test]
+    fn a_default_deadline_past_the_clock_range_means_none() {
+        let gateway = small_gateway(Some(Duration::MAX));
+        assert_eq!(gateway.score(Request::new(vec![0.4, 0.6])).expect("scored").attempts, 1);
+        assert_eq!(gateway.metrics().shed_deadline_total, 0);
     }
 
     #[test]

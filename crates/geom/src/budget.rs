@@ -83,9 +83,10 @@ impl StageBudget {
         Self::default()
     }
 
-    /// A budget expiring `limit` from now.
+    /// A budget expiring `limit` from now. A limit past the end of the
+    /// clock's range sets no deadline.
     pub fn with_deadline(limit: Duration) -> Self {
-        Self { deadline: Some(Instant::now() + limit), cancel: None }
+        Self::unlimited().deadline_in(Some(limit))
     }
 
     /// Attaches a cancellation token (builder-style).
@@ -94,9 +95,10 @@ impl StageBudget {
         self
     }
 
-    /// Attaches a deadline `limit` from now (builder-style); `None` clears it.
+    /// Attaches a deadline `limit` from now (builder-style); `None`, or a
+    /// limit past the end of the clock's range, clears it.
     pub fn deadline_in(mut self, limit: Option<Duration>) -> Self {
-        self.deadline = limit.map(|d| Instant::now() + d);
+        self.deadline = limit.and_then(|d| Instant::now().checked_add(d));
         self
     }
 
@@ -195,6 +197,13 @@ mod tests {
     #[test]
     fn deadline_in_none_clears_the_deadline() {
         let b = StageBudget::with_deadline(Duration::ZERO).deadline_in(None);
+        assert_eq!(b.check(), BudgetState::Within);
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_range_means_none() {
+        assert_eq!(StageBudget::with_deadline(Duration::MAX).check(), BudgetState::Within);
+        let b = StageBudget::with_deadline(Duration::ZERO).deadline_in(Some(Duration::MAX));
         assert_eq!(b.check(), BudgetState::Within);
     }
 

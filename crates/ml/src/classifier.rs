@@ -2,7 +2,6 @@
 //! complexity accounting of the paper's Table II (`# Model param.`,
 //! `# Prediction op.`).
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
@@ -63,9 +62,9 @@ pub trait Classifier: Send + Sync {
     /// feature count.
     fn score(&self, x: &[f32]) -> f64;
 
-    /// Scores every sample of `data` (parallelized by default).
+    /// Scores every sample of `data`, in row order.
     fn score_dataset(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_samples()).into_par_iter().map(|i| self.score(data.row(i))).collect()
+        (0..data.n_samples()).map(|i| self.score(data.row(i))).collect()
     }
 
     /// Size/cost accounting for Table II.

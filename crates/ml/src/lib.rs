@@ -27,18 +27,14 @@
 //! assert!(ap > 0.5 && ap <= 1.0);
 //! ```
 
-pub mod calibrate;
 pub mod classifier;
-pub mod confusion;
 pub mod dataset;
 pub mod error;
 pub mod metrics;
 pub mod scaler;
 pub mod tune;
 
-pub use calibrate::IsotonicCalibrator;
 pub use classifier::{Classifier, ModelComplexity, NanPolicy, Trainer};
-pub use confusion::{brier_score, calibration_curve, ConfusionMatrix};
 pub use dataset::Dataset;
 pub use error::{
     ArtifactError, DrcshapError, InputError, PipelineError, SchemaError, StoreError, XsatError,
@@ -48,6 +44,4 @@ pub use metrics::{
     OperatingPoint, PAPER_FPR,
 };
 pub use scaler::StandardScaler;
-pub use tune::{
-    cross_validate, grid_search, random_search, CvOutcome, GridSearchOutcome, SelectionMetric,
-};
+pub use tune::{cross_validate, grid_search, CvOutcome, GridSearchOutcome, SelectionMetric};

@@ -135,40 +135,6 @@ pub fn grid_search<T: Trainer>(
     })
 }
 
-/// Random hyperparameter search: draws `n_candidates` trainers from
-/// `sample` and cross-validates each (Bergstra & Bengio's alternative to
-/// grid search — often better coverage for the same budget when only a few
-/// hyperparameters matter).
-///
-/// Returns the outcome together with the sampled candidates so the caller
-/// can refit the winner.
-///
-/// # Errors
-///
-/// [`InputError::DegenerateGroups`] if `data` has fewer than two distinct
-/// groups.
-///
-/// # Panics
-///
-/// Panics if `n_candidates == 0`.
-pub fn random_search<T, F>(
-    sample: F,
-    n_candidates: usize,
-    data: &Dataset,
-    metric: SelectionMetric,
-    seed: u64,
-) -> Result<(GridSearchOutcome, Vec<T>), DrcshapError>
-where
-    T: Trainer,
-    F: Fn(&mut rand_chacha::ChaCha8Rng) -> T,
-{
-    assert!(n_candidates > 0, "need at least one candidate");
-    let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed);
-    let candidates: Vec<T> = (0..n_candidates).map(|_| sample(&mut rng)).collect();
-    let outcome = grid_search(&candidates, data, metric, seed)?;
-    Ok((outcome, candidates))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,24 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn random_search_finds_a_good_region() {
-        use rand::Rng;
-        let data = separable();
-        let (out, candidates) = random_search(
-            |rng| LinearStub { weight: rng.gen_range(-1.0..1.0) },
-            16,
-            &data,
-            SelectionMetric::Auprc,
-            7,
-        )
-        .unwrap();
-        assert_eq!(candidates.len(), 16);
-        // The winner must have a positive weight (the correct sign).
-        assert!(candidates[out.best_index].weight > 0.0);
-        assert!(out.results[out.best_index].mean > 0.9);
-    }
-
-    #[test]
     fn degenerate_groups_are_a_typed_error_not_a_panic() {
         let data = Dataset::from_parts(vec![0.0, 1.0], vec![true, false], vec![0, 0], 1);
         let err = cross_validate(&LinearStub { weight: 1.0 }, &data, SelectionMetric::Auprc, 0)
@@ -308,13 +256,9 @@ mod tests {
             matches!(err, DrcshapError::Input(InputError::DegenerateGroups { found: 1 })),
             "{err}"
         );
-        // The same guard propagates through grid search and random search.
+        // The same guard propagates through grid search.
         let err = grid_search(&[LinearStub { weight: 1.0 }], &data, SelectionMetric::Auprc, 0)
             .unwrap_err();
-        assert!(matches!(err, DrcshapError::Input(InputError::DegenerateGroups { .. })), "{err}");
-        let err =
-            random_search(|_| LinearStub { weight: 1.0 }, 2, &data, SelectionMetric::Auprc, 0)
-                .unwrap_err();
         assert!(matches!(err, DrcshapError::Input(InputError::DegenerateGroups { .. })), "{err}");
     }
 }

@@ -189,11 +189,6 @@ impl CongestionMap {
             .sum()
     }
 
-    /// Summed load over all layers of direction `dir` on the border `a`–`b`.
-    pub fn dir_load(&self, dir: EdgeDir, a: GcellId, b: GcellId) -> f64 {
-        ALL_METALS.iter().filter(|m| m.direction() == dir).map(|&m| self.edge_load(m, a, b)).sum()
-    }
-
     /// Total edge overflow `Σ max(0, load − capacity)` over all layers/edges.
     pub fn total_edge_overflow(&self) -> f64 {
         self.edge_cap

@@ -27,7 +27,6 @@
 //! to the bit pattern, NaN-laced inputs included.
 
 use drcshap_forest::{RandomForest, TreeNode};
-use rayon::prelude::*;
 
 /// Trees a row walks in lockstep.
 const LANES: usize = 8;
@@ -181,7 +180,7 @@ impl CompiledForest {
         self.score_row::<true>(x)
     }
 
-    /// Scores a batch of samples, one row per rayon task. `flat` is
+    /// Scores a batch of samples, one row after another. `flat` is
     /// row-major with exactly `n_features` values per row; returns one
     /// score per row, each bit-identical to
     /// [`RandomForest::predict_proba`] on that row.
@@ -211,7 +210,7 @@ impl CompiledForest {
             flat.len(),
             self.n_features
         );
-        flat.par_chunks(self.n_features).map(|x| self.score_row::<NAN_AWARE>(x)).collect()
+        flat.chunks_exact(self.n_features).map(|x| self.score_row::<NAN_AWARE>(x)).collect()
     }
 
     /// Scores one row: each group's lanes step together, then finish one

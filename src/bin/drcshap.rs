@@ -920,11 +920,19 @@ fn parse_deadline(args: &mut Vec<String>) -> Result<Option<Duration>, DrcshapErr
     let secs: f64 = value.parse().map_err(|_| {
         DrcshapError::usage(format!("bad deadline {value:?}: expected seconds as a float"))
     })?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(DrcshapError::usage(format!("bad deadline {secs}: must be positive")));
-    }
+    let deadline = duration(secs, 1.0).filter(|_| secs > 0.0).ok_or_else(|| {
+        DrcshapError::usage(format!("bad deadline {secs}: must be positive and in range"))
+    })?;
     args.drain(pos..=pos + 1);
-    Ok(Some(Duration::from_secs_f64(secs)))
+    Ok(Some(deadline))
+}
+
+/// `amount` of a time unit with `per_sec` units to the second (1 for
+/// seconds, 1e3 for milliseconds) as a [`Duration`], or `None` when the
+/// amount is NaN, negative, or beyond [`Duration::MAX`]. Every time span
+/// the CLI reads from outside passes through here, so none panics it.
+fn duration(amount: f64, per_sec: f64) -> Option<Duration> {
+    Duration::try_from_secs_f64(amount / per_sec).ok()
 }
 
 /// Runs the supervised suite build and prints the per-design table plus a
@@ -1072,12 +1080,11 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let scale: f64 = parse_flag(&mut args, "--scale", 0.25)?;
     let defaults = ServeConfig::default();
     let wait_ms: f64 = parse_flag(&mut args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
-    if !wait_ms.is_finite() || wait_ms < 0.0 {
-        return Err(DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")));
-    }
+    let max_wait = duration(wait_ms, 1e3)
+        .ok_or_else(|| DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")))?;
     let config = ServeConfig {
         max_batch: parse_flag(&mut args, "--batch", defaults.max_batch)?,
-        max_wait: Duration::from_secs_f64(wait_ms / 1e3),
+        max_wait,
         queue_capacity: parse_flag(&mut args, "--queue", defaults.queue_capacity)?,
         workers: parse_flag(&mut args, "--workers", defaults.workers)?,
         nan_policy: if nan_aware { NanPolicy::NanAware } else { NanPolicy::Reject },
@@ -1121,12 +1128,11 @@ fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let max_conns: u64 = parse_flag(&mut args, "--max-conns", 0)?;
     let defaults = ServeConfig::default();
     let wait_ms: f64 = parse_flag(&mut args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
-    if !wait_ms.is_finite() || wait_ms < 0.0 {
-        return Err(DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")));
-    }
+    let max_wait = duration(wait_ms, 1e3)
+        .ok_or_else(|| DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")))?;
     let serve = ServeConfig {
         max_batch: parse_flag(&mut args, "--batch", defaults.max_batch)?,
-        max_wait: Duration::from_secs_f64(wait_ms / 1e3),
+        max_wait,
         queue_capacity: parse_flag(&mut args, "--queue", defaults.queue_capacity)?,
         workers: parse_flag(&mut args, "--workers", defaults.workers)?,
         nan_policy: if nan_aware { NanPolicy::NanAware } else { NanPolicy::Reject },
@@ -1135,9 +1141,12 @@ fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let gateway_defaults = GatewayConfig::default();
     let deadline_ms: f64 = parse_flag(&mut args, "--deadline-ms", 0.0)?;
     let hedge_ms: f64 = parse_flag(&mut args, "--hedge-ms", 0.0)?;
-    if !deadline_ms.is_finite() || deadline_ms < 0.0 || !hedge_ms.is_finite() || hedge_ms < 0.0 {
-        return Err(DrcshapError::usage("--deadline-ms and --hedge-ms must be non-negative"));
-    }
+    let (Some(deadline), Some(hedge)) = (duration(deadline_ms, 1e3), duration(hedge_ms, 1e3))
+    else {
+        return Err(DrcshapError::usage(
+            "--deadline-ms and --hedge-ms must be non-negative and in range",
+        ));
+    };
     let quota_burst: f64 = parse_flag(&mut args, "--quota-burst", 0.0)?;
     let quota_refill: f64 = parse_flag(&mut args, "--quota-refill", 0.0)?;
     let quota = match (quota_burst > 0.0, quota_refill > 0.0) {
@@ -1152,9 +1161,9 @@ fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let config = GatewayConfig {
         shards: parse_flag(&mut args, "--shards", gateway_defaults.shards)?,
         serve,
-        default_deadline: (deadline_ms > 0.0).then(|| Duration::from_secs_f64(deadline_ms / 1e3)),
+        default_deadline: (deadline_ms > 0.0).then_some(deadline),
         max_retries: parse_flag(&mut args, "--retries", gateway_defaults.max_retries)?,
-        hedge_after: (hedge_ms > 0.0).then(|| Duration::from_secs_f64(hedge_ms / 1e3)),
+        hedge_after: (hedge_ms > 0.0).then_some(hedge),
         quota,
         ..gateway_defaults
     };
@@ -1214,10 +1223,10 @@ fn parse_gateway_line(lineno: usize, line: &str) -> Result<Request, DrcshapError
         request = request.priority(priority.parse::<Priority>()?);
     }
     if let Some(ms) = parsed.deadline_ms {
-        if !ms.is_finite() || ms <= 0.0 {
-            return Err(malformed(format!("bad deadline_ms {ms}: must be positive")));
-        }
-        request = request.deadline_in(Duration::from_secs_f64(ms / 1e3));
+        let limit = duration(ms, 1e3).filter(|_| ms > 0.0).ok_or_else(|| {
+            malformed(format!("bad deadline_ms {ms}: must be positive and in range"))
+        })?;
+        request = request.deadline_in(limit);
     }
     if let Some(key) = parsed.key {
         request = request.key(key);
@@ -1331,16 +1340,16 @@ fn cmd_testkit(args: &[String]) -> Result<(), DrcshapError> {
             let seeds: u64 = parse_flag(&mut args, "--seeds", 16)?;
             let base_seed: u64 = parse_flag(&mut args, "--base-seed", 0)?;
             let soak_secs: f64 = parse_flag(&mut args, "--soak-secs", soak_default)?;
-            if !soak_secs.is_finite() || soak_secs < 0.0 {
-                return Err(DrcshapError::usage(format!("bad value {soak_secs} for --soak-secs")));
-            }
+            let soak_duration = duration(soak_secs, 1.0).ok_or_else(|| {
+                DrcshapError::usage(format!("bad value {soak_secs} for --soak-secs"))
+            })?;
             let gateway_soak_secs: f64 =
                 parse_flag(&mut args, "--gateway-soak-secs", soak_default)?;
-            if !gateway_soak_secs.is_finite() || gateway_soak_secs < 0.0 {
-                return Err(DrcshapError::usage(format!(
+            let gateway_soak_duration = duration(gateway_soak_secs, 1.0).ok_or_else(|| {
+                DrcshapError::usage(format!(
                     "bad value {gateway_soak_secs} for --gateway-soak-secs"
-                )));
-            }
+                ))
+            })?;
             let crash_default =
                 if only.is_empty() { CrashSoakConfig::default().iterations } else { 0 };
             let crash_soak_iters: u64 = parse_flag(&mut args, "--crash-soak-iters", crash_default)?;
@@ -1376,10 +1385,7 @@ fn cmd_testkit(args: &[String]) -> Result<(), DrcshapError> {
                 std::process::exit(1);
             }
             if soak_secs > 0.0 {
-                let config = ChaosConfig {
-                    duration: Duration::from_secs_f64(soak_secs),
-                    ..ChaosConfig::default()
-                };
+                let config = ChaosConfig { duration: soak_duration, ..ChaosConfig::default() };
                 match testkit::chaos_soak(base_seed, &config) {
                     Ok(soak) => println!("chaos soak ({soak_secs}s): {soak}"),
                     Err(detail) => {
@@ -1394,7 +1400,7 @@ fn cmd_testkit(args: &[String]) -> Result<(), DrcshapError> {
             }
             if gateway_soak_secs > 0.0 {
                 let config = GatewayChaosConfig {
-                    duration: Duration::from_secs_f64(gateway_soak_secs),
+                    duration: gateway_soak_duration,
                     ..GatewayChaosConfig::default()
                 };
                 match testkit::gateway_chaos_soak(base_seed, &config) {
