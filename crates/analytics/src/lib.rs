@@ -8,12 +8,13 @@
 //! every request. This crate folds each vector, as it is explained, into
 //! mergeable aggregates:
 //!
-//! - [`QuantileSketch`] — a deterministic per-feature φ-distribution
-//!   sketch with a fixed relative error bound ε and a hard memory
-//!   ceiling. Its state is a pure function of the input *multiset*, so
-//!   any fold/merge topology (single stream, k-way split, N serve
-//!   workers, a whole gateway fleet) produces **bit-identical**
-//!   snapshots — see `sketch.rs` for why KLL/GK cannot offer this;
+//! - per-feature φ-distribution sketches: [`drcshap_telemetry::QuantileSketch`],
+//!   the workspace's one quantile structure, with a fixed relative error
+//!   bound ε and a hard memory ceiling. Its state is a pure function of
+//!   the input *multiset*, so any fold/merge topology (single stream,
+//!   k-way split, N serve workers, a whole gateway fleet) produces
+//!   **bit-identical** snapshots — see [`drcshap_telemetry::sketch`] for
+//!   why KLL/GK cannot offer this;
 //! - [`FixedSum`] — fixed-point Σφ / Σ|φ| accumulators (exact integer
 //!   addition, so means are order-independent too);
 //! - binned dependence curves (feature value × mean φ) and optional
@@ -49,7 +50,6 @@
 pub mod accum;
 pub mod report;
 pub mod sink;
-pub mod sketch;
 pub mod snapshot;
 
 pub use accum::{quantize, FixedSum, QFIX_BITS, QFIX_CLAMP_BITS};
@@ -58,7 +58,6 @@ pub use report::{
     DriftReport, FeatureReport, PairReport, QuantilePoint, RankMove, REPORT_QUANTILES,
 };
 pub use sink::{AnalyticsConfig, AnalyticsSink, ShardedAnalytics};
-pub use sketch::{BucketEntry, QuantileSketch, SketchParams};
 pub use snapshot::{
     merge_fleet, AnalyticsSnapshot, DependenceCell, FeatureSnapshot, PairSnapshot, Provenance,
     SnapshotParams, SNAPSHOT_SCHEMA_VERSION,

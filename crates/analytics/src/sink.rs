@@ -9,7 +9,7 @@
 //! merging yields bit-identical snapshots.
 //!
 //! [`ShardedAnalytics`] is the concurrent wrapper the serve engine
-//! mounts: N mutex-guarded shards picked by thread-id hash (so worker
+//! mounts: eight mutex-guarded shards picked by thread-id hash (so worker
 //! threads rarely contend), each tagged with the model epoch it is
 //! collecting for. Reads lock each shard in turn and merge — exactness
 //! of the merge means the shard count is invisible in the output.
@@ -27,13 +27,19 @@ use std::sync::Mutex;
 
 use drcshap_ml::DrcshapError;
 use drcshap_shap::interactions::InteractionValues;
+use drcshap_telemetry::{QuantileSketch, SketchParams};
 
 use crate::accum::FixedSum;
-use crate::sketch::{QuantileSketch, SketchParams};
 use crate::snapshot::{
     AnalyticsSnapshot, DependenceCell, FeatureSnapshot, PairSnapshot, Provenance, SnapshotParams,
     SNAPSHOT_SCHEMA_VERSION,
 };
+
+/// Concurrent shards in [`ShardedAnalytics`].
+const SHARDS: usize = 8;
+
+/// Old-epoch snapshots [`ShardedAnalytics`] retains after hot swaps.
+const RETAINED_EPOCHS: usize = 4;
 
 /// Analytics knobs. `Default` is the served configuration: ε ≈ 0.78%
 /// sketches, quarter-octave dependence bins, interactions off.
@@ -50,10 +56,6 @@ pub struct AnalyticsConfig {
     /// Only the first `max_interaction_features` features participate in
     /// pair aggregation, bounding pair memory at K·(K−1)/2 cells.
     pub max_interaction_features: u32,
-    /// Old-epoch snapshots retained after hot swaps. Default 4.
-    pub retained_epochs: usize,
-    /// Concurrent shards in [`ShardedAnalytics`]. Default 8.
-    pub shards: usize,
 }
 
 impl Default for AnalyticsConfig {
@@ -63,8 +65,6 @@ impl Default for AnalyticsConfig {
             dependence_bits: 2,
             interactions: false,
             max_interaction_features: 16,
-            retained_epochs: 4,
-            shards: 8,
         }
     }
 }
@@ -81,14 +81,6 @@ impl AnalyticsConfig {
         }
         if !(1..=10).contains(&self.dependence_bits) {
             return Err(DrcshapError::usage("analytics config: dependence_bits must be 1..=10"));
-        }
-        if self.shards == 0 {
-            return Err(DrcshapError::usage("analytics config: shards must be at least 1"));
-        }
-        if self.retained_epochs == 0 {
-            return Err(DrcshapError::usage(
-                "analytics config: retained_epochs must be at least 1",
-            ));
         }
         Ok(())
     }
@@ -388,7 +380,7 @@ impl ShardedAnalytics {
     /// Usage errors from [`AnalyticsConfig::validate`].
     pub fn new(config: AnalyticsConfig, epoch: u64) -> Result<Self, DrcshapError> {
         config.validate()?;
-        let shards = (0..config.shards)
+        let shards = (0..SHARDS)
             .map(|_| Mutex::new(EpochShard { epoch, sink: AnalyticsSink::new(config.clone()) }))
             .collect();
         Ok(Self {
@@ -489,13 +481,14 @@ impl ShardedAnalytics {
         drop(guards);
         let mut retained = self.retained.lock().unwrap();
         retained.push_back(frozen.clone());
-        while retained.len() > self.config.retained_epochs {
+        while retained.len() > RETAINED_EPOCHS {
             retained.pop_front();
         }
         frozen
     }
 
-    /// Retained old-epoch snapshots, oldest first (the drift window).
+    /// Retained old-epoch snapshots, oldest first (the drift window: the
+    /// last four).
     pub fn history(&self) -> Vec<AnalyticsSnapshot> {
         self.retained.lock().unwrap().iter().cloned().collect()
     }
@@ -622,12 +615,11 @@ mod tests {
         for (x, phi) in &cases {
             single.fold(x, phi).unwrap();
         }
-        for shard_count in [1usize, 2, 7] {
-            let config = AnalyticsConfig { shards: shard_count, ..Default::default() };
-            let sharded = ShardedAnalytics::new(config, 1).unwrap();
+        for threads in [1usize, 2, 7] {
+            let sharded = ShardedAnalytics::new(AnalyticsConfig::default(), 1).unwrap();
             let sharded_ref = &sharded;
             std::thread::scope(|scope| {
-                for chunk in cases.chunks(cases.len() / 3 + 1) {
+                for chunk in cases.chunks(cases.len().div_ceil(threads)) {
                     scope.spawn(move || {
                         for (x, phi) in chunk {
                             assert!(sharded_ref.fold(1, x, phi, None).unwrap());
@@ -635,11 +627,9 @@ mod tests {
                     });
                 }
             });
-            let mut want = single.snapshot(prov(1));
-            want.params = sharded.snapshot(prov(1)).params;
-            // Configs differ only in shard count, which is not stamped
-            // into snapshots — digests must match exactly.
-            assert_eq!(sharded.snapshot(prov(1)).digest(), want.digest());
+            // Each thread folds into the shard its id hashes to; the
+            // merge on read must hide how the folds were spread.
+            assert_eq!(sharded.snapshot(prov(1)).digest(), single.snapshot(prov(1)).digest());
         }
     }
 
@@ -656,11 +646,44 @@ mod tests {
         // New epoch starts empty.
         let now = sharded.snapshot(prov(2));
         assert_eq!(now.n_vectors, 0);
-        // History holds the frozen snapshot, capped at retained_epochs.
+        // History holds the frozen snapshot, capped at RETAINED_EPOCHS.
         assert_eq!(sharded.history(), vec![frozen]);
         for e in 2..20u64 {
             sharded.rotate(prov(e), e + 1);
         }
-        assert_eq!(sharded.history().len(), AnalyticsConfig::default().retained_epochs);
+        assert_eq!(sharded.history().len(), RETAINED_EPOCHS);
+    }
+
+    /// The full sink (sketches + dependence + sums for every feature) also
+    /// stays bounded: occupied cells are a function of the params, not of
+    /// how many vectors streamed through.
+    #[test]
+    fn sink_occupancy_is_stream_length_independent() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x51CC);
+        let config = AnalyticsConfig::default();
+        let m = 8;
+        let mut sink = AnalyticsSink::new(config.clone());
+        let mut occupancy_at_half = 0;
+        for i in 0..100_000u64 {
+            let x: Vec<f32> = (0..m).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+            let phi: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+            sink.fold(&x, &phi).unwrap();
+            if i == 49_999 {
+                occupancy_at_half = sink.occupied_cells();
+            }
+        }
+        let ceiling =
+            m * (config.sketch_params().max_buckets() + config.dependence_params().max_buckets());
+        assert!(sink.occupied_cells() <= ceiling);
+        // Doubling the stream adds at most one more discovered octave layer
+        // (the rare near-zero magnitudes): growth is logarithmic with a small
+        // constant, never linear in the stream length.
+        assert!(
+            sink.occupied_cells() as f64 <= occupancy_at_half as f64 * 1.25,
+            "occupancy kept growing: {} at 50k vs {} at 100k",
+            occupancy_at_half,
+            sink.occupied_cells()
+        );
+        let _ = sink.snapshot(Provenance::default());
     }
 }

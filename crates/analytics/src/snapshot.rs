@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use drcshap_core::artifact::crc32;
 use drcshap_ml::DrcshapError;
+use drcshap_telemetry::{BucketEntry, QuantileSketch, SketchParams};
 
 use crate::accum::FixedSum;
-use crate::sketch::{BucketEntry, QuantileSketch, SketchParams};
 
 /// Current snapshot schema version (bumped on any wire-format change).
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
@@ -423,7 +423,7 @@ mod tests {
         f.sum_phi.add(-0.5);
         f.min_phi_bits = (-0.5f64).to_bits();
         f.max_phi_bits = (0.125f64).to_bits();
-        f.sketch.push(crate::sketch::BucketEntry { id: -42, n: 1 });
+        f.sketch.push(BucketEntry { id: -42, n: 1 });
         f.dependence.push(DependenceCell { bucket: 3, n: 2, sum_phi: FixedSum::from_raw(-77) });
         s.features.push(f);
         s.pairs.push(PairSnapshot {

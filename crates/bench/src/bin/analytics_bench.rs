@@ -38,6 +38,7 @@ use std::time::Instant;
 use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance};
 use drcshap_bench::env_usize;
 use drcshap_bench::gate::Bench;
+use drcshap_telemetry::QuantileSketch;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,15 +116,13 @@ fn main() -> ExitCode {
     eprintln!("memory: {occupied} occupied cells (analytic ceiling {ceiling})");
 
     // Snapshot latency (median of 32 snapshots of the full sink).
-    let mut snapshot_us: Vec<f64> = (0..32)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(sink.snapshot(provenance));
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    snapshot_us.sort_by(f64::total_cmp);
-    let snapshot_median_us = snapshot_us[snapshot_us.len() / 2];
+    let mut snapshot_us = QuantileSketch::default();
+    for _ in 0..32 {
+        let t = Instant::now();
+        std::hint::black_box(sink.snapshot(provenance));
+        snapshot_us.insert(t.elapsed().as_secs_f64() * 1e6);
+    }
+    let snapshot_median_us = snapshot_us.quantile(0.5).expect("32 snapshots timed");
     let single = sink.snapshot(provenance);
 
     // Digest identity: k-way round-robin split, merged in rotated order.

@@ -28,11 +28,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use drcshap_bench::gate::Bench;
-use drcshap_bench::{env_f64, env_usize, quantile, synthetic_dataset};
+use drcshap_bench::{env_f64, env_usize, synthetic_dataset};
 use drcshap_forest::RandomForestTrainer;
 use drcshap_gateway::{Gateway, GatewayConfig, Request};
 use drcshap_ml::Trainer;
 use drcshap_serve::ServeConfig;
+use drcshap_telemetry::QuantileSketch;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,7 +54,7 @@ struct PhaseResult {
 }
 
 /// Hammers the gateway from `clients` threads for `secs` of wall clock,
-/// validating every response bitwise against `expected` and collecting
+/// validating every response bitwise against `expected` and sketching
 /// client-side latencies. Panics on any error or score mismatch — the
 /// bench only reports numbers for a correct gateway.
 fn run_phase(
@@ -66,19 +67,19 @@ fn run_phase(
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
     let hedged = AtomicU64::new(0);
     let started = Instant::now();
-    let mut latencies_us: Vec<f64> = std::thread::scope(|scope| {
+    let latencies_us = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let hedged = &hedged;
                 scope.spawn(move || {
-                    let mut lats = Vec::with_capacity(4096);
+                    let mut lats = QuantileSketch::default();
                     let mut i = c; // stagger clients across the probe pool
                     while Instant::now() < deadline {
                         let p = i % probes.len();
                         let t0 = Instant::now();
                         let r =
                             gateway.score(Request::new(probes[p].clone())).expect("gateway score");
-                        lats.push(t0.elapsed().as_secs_f64() * 1e6);
+                        lats.insert(t0.elapsed().as_secs_f64() * 1e6);
                         assert_eq!(
                             r.score.to_bits(),
                             expected[p],
@@ -93,14 +94,16 @@ fn run_phase(
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+        handles.into_iter().fold(QuantileSketch::default(), |mut all, h| {
+            all.merge(&h.join().expect("client thread")).expect("same sketch params");
+            all
+        })
     });
     let elapsed = started.elapsed().as_secs_f64();
-    latencies_us.sort_by(f64::total_cmp);
     PhaseResult {
-        throughput_per_s: latencies_us.len() as f64 / elapsed,
-        p50_us: quantile(&latencies_us, 0.50),
-        p99_us: quantile(&latencies_us, 0.99),
+        throughput_per_s: latencies_us.count() as f64 / elapsed,
+        p50_us: latencies_us.quantile(0.50).unwrap_or(f64::NAN),
+        p99_us: latencies_us.quantile(0.99).unwrap_or(f64::NAN),
     }
 }
 

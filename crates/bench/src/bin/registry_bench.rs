@@ -29,11 +29,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use drcshap_bench::gate::Bench;
-use drcshap_bench::{env_usize, quantile, synthetic_dataset};
+use drcshap_bench::{env_usize, synthetic_dataset};
 use drcshap_core::SavedModel;
 use drcshap_forest::RandomForestTrainer;
 use drcshap_ml::Trainer;
 use drcshap_store::{FsBackend, Registry, StorageBackend};
+use drcshap_telemetry::QuantileSketch;
 
 /// This bench's declaration to the shared gate.
 const BENCH: Bench = Bench {
@@ -80,16 +81,16 @@ fn main() -> ExitCode {
     // open_latest latency: journal scan + newest blob read + hash + CRC +
     // decode + bitwise equality against what went in.
     let expected_fingerprint = 0x1000 + (publishes as u64 - 1);
-    let mut open_us = Vec::with_capacity(opens);
+    let mut open_us = QuantileSketch::default();
     for _ in 0..opens {
         let t = Instant::now();
         let loaded = registry.open_latest().expect("open_latest");
-        open_us.push(t.elapsed().as_secs_f64() * 1e6);
+        open_us.insert(t.elapsed().as_secs_f64() * 1e6);
         assert_eq!(loaded.model, model, "round trip not bit-identical");
         assert_eq!(loaded.fingerprint, expected_fingerprint, "fingerprint lost");
     }
-    open_us.sort_by(f64::total_cmp);
-    let (open_p50_us, open_p99_us) = (quantile(&open_us, 0.50), quantile(&open_us, 0.99));
+    let open_quantile_us = |q| open_us.quantile(q).expect("at least one open_latest");
+    let (open_p50_us, open_p99_us) = (open_quantile_us(0.50), open_quantile_us(0.99));
 
     // Recovery cost as the journal grows: time Registry::open on fresh
     // registries with increasingly long journals.

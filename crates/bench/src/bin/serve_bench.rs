@@ -56,6 +56,7 @@ const BENCH: Bench = Bench {
         "compiled_batch_per_s",
         "nan_aware_batch_per_s",
         "engine_per_s",
+        "engine_latency_p99_us",
         "explain_per_s",
     ],
     gated: "compiled_batch_per_s",

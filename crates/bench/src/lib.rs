@@ -141,15 +141,6 @@ pub fn synthetic_dataset(rows: usize, features: usize, stride: usize, seed: u64)
     Dataset::from_parts(x, y, vec![0; rows], features)
 }
 
-/// The nearest-rank quantile `q` in `[0, 1]` of an ascending slice: the
-/// element at the rounded index `q · (len − 1)`; NaN when it is empty.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
 /// The paper's Table II per-family averages `(TPR*, Prec*, A_prc)` for
 /// side-by-side reporting.
 pub fn paper_table2_averages(family: ModelFamily) -> (f64, f64, f64) {

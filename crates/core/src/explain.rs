@@ -154,27 +154,6 @@ impl Explainer {
         Self { forest, schema: FeatureSchema::paper_387() }
     }
 
-    /// Serializes the trained model to JSON (trees, covers, leaf values —
-    /// everything prediction and SHAP need), so a tuned model can be reused
-    /// across flow iterations without retraining.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`serde_json::Error`] if serialization fails (practically
-    /// impossible for in-memory forests).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(&self.forest)
-    }
-
-    /// Restores an explainer from [`Explainer::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`serde_json::Error`] on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        Ok(Self::from_forest(serde_json::from_str(json)?))
-    }
-
     /// The underlying forest.
     pub fn forest(&self) -> &RandomForest {
         &self.forest
@@ -476,19 +455,6 @@ mod tests {
         }
         let rendered = report.render();
         assert!(rendered.contains("hotspot triage for des_perf_1"));
-    }
-
-    #[test]
-    fn explainer_round_trips_through_json() {
-        let (explainer, bundle) = trained_on("fft_1");
-        let json = explainer.to_json().expect("serialize");
-        let restored = Explainer::from_json(&json).expect("deserialize");
-        // Identical predictions and identical explanations.
-        let i = bundle.features.n_samples() / 2;
-        let a = explainer.explain_gcell(&bundle, i);
-        let b = restored.explain_gcell(&bundle, i);
-        assert_eq!(a.explanation.prediction, b.explanation.prediction);
-        assert_eq!(a.explanation.contributions, b.explanation.contributions);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub struct StageFault {
     /// Name of the design to fault.
     pub design: String,
     /// Stage at whose boundary the fault fires.
-    pub stage: crate::supervisor::Stage,
+    pub stage: crate::pipeline::Stage,
     /// What the fault does.
     pub kind: StageFaultKind,
 }

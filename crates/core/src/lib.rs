@@ -65,9 +65,10 @@ pub use faults::{
 pub use flow::{run_fix_loop, FixIteration, FixLoopReport};
 pub use pipeline::{
     build_design, build_suite, try_build_design, try_build_suite, DesignBundle, PipelineConfig,
+    Stage,
 };
 pub use supervisor::{
-    read_manifest, run_supervised, DesignOutcome, DesignStatus, RunManifest, Stage, SuiteReport,
+    read_manifest, run_supervised, DesignOutcome, DesignStatus, RunManifest, SuiteReport,
     SupervisorConfig,
 };
 pub use zoo::{ModelFamily, TrainedModel};

@@ -4,10 +4,11 @@
 
 use drcshap_drc::{run_drc, DrcConfig, DrcReport};
 use drcshap_features::{extract_design, FeatureMatrix};
+use drcshap_geom::budget::{BudgetState, Interrupted, StageBudget};
 use drcshap_ml::{Dataset, DrcshapError, InputError};
 use drcshap_netlist::{suite::DesignSpec, synth, Design};
-use drcshap_place::place;
-use drcshap_route::{route_design, RouteConfig, RouteOutcome};
+use drcshap_place::place_budgeted;
+use drcshap_route::{route_design_budgeted, RouteConfig, RouteOutcome};
 use drcshap_telemetry as telemetry;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -118,6 +119,141 @@ impl DesignBundle {
     }
 }
 
+/// The named stages of one design's build, in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Stage {
+    /// Netlist synthesis: die, grid and cell population.
+    Synth,
+    /// Legalized placement plus net generation.
+    Place,
+    /// Global routing.
+    Route,
+    /// DRC oracle labelling.
+    Drc,
+    /// 387-feature extraction.
+    Extract,
+}
+
+impl Stage {
+    /// All stages in execution order.
+    pub const ALL: [Stage; 5] =
+        [Stage::Synth, Stage::Place, Stage::Route, Stage::Drc, Stage::Extract];
+
+    /// Stable lower-case stage name (checkpoint file stem, manifest entry).
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Synth => "synth",
+            Stage::Place => "place",
+            Stage::Route => "route",
+            Stage::Drc => "drc",
+            Stage::Extract => "extract",
+        }
+    }
+
+    /// Container kind byte for this stage's checkpoints (`0x10 +` index,
+    /// disjoint from the model-artifact kind codes).
+    pub fn code(self) -> u8 {
+        0x10 + self as u8
+    }
+
+    /// Telemetry span name for this stage (`stage/<name>`).
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Stage::Synth => "stage/synth",
+            Stage::Place => "stage/place",
+            Stage::Route => "stage/route",
+            Stage::Drc => "stage/drc",
+            Stage::Extract => "stage/extract",
+        }
+    }
+}
+
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The outputs of one design's stages so far.
+#[derive(Default)]
+pub(crate) struct StageState {
+    pub(crate) design: Option<Design>,
+    pub(crate) route: Option<RouteOutcome>,
+    pub(crate) report: Option<DrcReport>,
+    pub(crate) features: Option<FeatureMatrix>,
+}
+
+impl StageState {
+    /// The bundle of a design whose five stages all ran.
+    pub(crate) fn into_bundle(self) -> DesignBundle {
+        DesignBundle {
+            design: self.design.expect("synth stage ran"),
+            route: self.route.expect("route stage ran"),
+            report: self.report.expect("drc stage ran"),
+            features: self.features.expect("extract stage ran"),
+        }
+    }
+}
+
+/// Runs one stage of `spec`'s build against `state` under `budget`,
+/// returning whether it finished degraded (deadline expiry). This is the
+/// one stage body: [`try_build_design`] runs every stage with an
+/// unlimited budget, and the supervisor wraps each one with checkpoints,
+/// retries and panic isolation. Synth re-seeds `rng` from the spec, so
+/// every build of a spec draws the same random numbers.
+///
+/// # Errors
+///
+/// [`Interrupted`] when `budget` is cancelled.
+pub(crate) fn run_stage(
+    stage: Stage,
+    spec: &DesignSpec,
+    route: &RouteConfig,
+    drc: &DrcConfig,
+    state: &mut StageState,
+    rng: &mut ChaCha8Rng,
+    budget: &StageBudget,
+) -> Result<bool, Interrupted> {
+    let _stage_span = telemetry::span_with(stage.span_name(), || spec.name.clone());
+    if budget.check() == BudgetState::Cancelled {
+        return Err(Interrupted);
+    }
+    match stage {
+        Stage::Synth => {
+            let mut design = Design::new(spec.clone());
+            *rng = ChaCha8Rng::seed_from_u64(spec.seed());
+            synth::generate_cells(&mut design, rng);
+            state.design = Some(design);
+            Ok(false)
+        }
+        Stage::Place => {
+            let design = state.design.as_mut().expect("synth stage ran");
+            let summary = place_budgeted(design, rng, budget)?;
+            synth::generate_nets(design, rng);
+            Ok(summary.deadline_degraded)
+        }
+        Stage::Route => {
+            let design = state.design.as_ref().expect("place stage ran");
+            let outcome = route_design_budgeted(design, route, rng, budget)?;
+            let degraded = outcome.status.is_degraded();
+            state.route = Some(outcome);
+            Ok(degraded)
+        }
+        Stage::Drc => {
+            let design = state.design.as_ref().expect("place stage ran");
+            let route = state.route.as_ref().expect("route stage ran");
+            state.report = Some(run_drc(design, route, drc, rng));
+            Ok(false)
+        }
+        Stage::Extract => {
+            let design = state.design.as_ref().expect("place stage ran");
+            let route = state.route.as_ref().expect("route stage ran");
+            state.features = Some(extract_design(design, route));
+            Ok(false)
+        }
+    }
+}
+
 /// Runs the full pipeline for one design spec (scaled by the config).
 ///
 /// Deterministic: all randomness derives from the spec's name-based seed.
@@ -143,30 +279,15 @@ pub fn try_build_design(
     config.validate()?;
     let spec = spec.scaled(config.scale);
     let _design_span = telemetry::span_with("pipeline/design", || spec.name.clone());
-    let mut design = Design::new(spec.clone());
+    let route = config.route_for(&spec);
+    let mut state = StageState::default();
     let mut rng = ChaCha8Rng::seed_from_u64(spec.seed());
-    {
-        let _s = telemetry::span("stage/synth");
-        synth::generate_cells(&mut design, &mut rng);
+    let budget = StageBudget::unlimited();
+    for stage in Stage::ALL {
+        run_stage(stage, &spec, &route, &config.drc, &mut state, &mut rng, &budget)
+            .expect("an unlimited budget cannot be cancelled");
     }
-    {
-        let _s = telemetry::span("stage/place");
-        place(&mut design, &mut rng);
-        synth::generate_nets(&mut design, &mut rng);
-    }
-    let route = {
-        let _s = telemetry::span("stage/route");
-        route_design(&design, &config.route_for(&spec), &mut rng)
-    };
-    let report = {
-        let _s = telemetry::span("stage/drc");
-        run_drc(&design, &route, &config.drc, &mut rng)
-    };
-    let features = {
-        let _s = telemetry::span("stage/extract");
-        extract_design(&design, &route)
-    };
-    Ok(DesignBundle { design, route, report, features })
+    Ok(state.into_bundle())
 }
 
 /// Builds bundles for many specs, one after another in `specs` order.

@@ -3,7 +3,8 @@
 //! [`crate::pipeline::build_suite`] is the happy path: it assumes every
 //! stage of every design finishes, and a panic or a kill loses the whole
 //! run. The supervisor runs the same stage sequence — synth, place, route,
-//! DRC, extract — under adult supervision:
+//! DRC, extract, each one [`crate::pipeline`]'s own stage body — under
+//! adult supervision:
 //!
 //! - each completed stage is written to disk as a **checksummed
 //!   checkpoint** (the [`crate::artifact`] container format) together with
@@ -31,13 +32,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use drcshap_drc::{run_drc, DrcReport};
-use drcshap_features::{extract_design, FeatureMatrix};
-use drcshap_geom::budget::{BudgetState, CancelToken, StageBudget};
+use drcshap_drc::DrcReport;
+use drcshap_features::FeatureMatrix;
+use drcshap_geom::budget::{CancelToken, Interrupted, StageBudget};
 use drcshap_ml::{DrcshapError, PipelineError};
-use drcshap_netlist::{suite::DesignSpec, synth, Design};
-use drcshap_place::place_budgeted;
-use drcshap_route::{route_design_budgeted, RouteConfig, RouteOutcome};
+use drcshap_netlist::{suite::DesignSpec, Design};
+use drcshap_route::{RouteConfig, RouteOutcome};
 use drcshap_telemetry as telemetry;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,68 +45,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::artifact::{decode_container, encode_container};
 use crate::faults::{StageFault, StageFaultKind};
-use crate::pipeline::{DesignBundle, PipelineConfig};
+use crate::pipeline::{run_stage, DesignBundle, PipelineConfig, Stage, StageState};
 
 /// Manifest schema version written by this build.
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// Capacity derate applied to the retry attempt of a failed design.
 const RETRY_DERATE: f64 = 0.5;
-
-/// The named stages of one design's build, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Stage {
-    /// Netlist synthesis: die, grid and cell population.
-    Synth,
-    /// Legalized placement plus net generation.
-    Place,
-    /// Global routing.
-    Route,
-    /// DRC oracle labelling.
-    Drc,
-    /// 387-feature extraction.
-    Extract,
-}
-
-impl Stage {
-    /// All stages in execution order.
-    pub const ALL: [Stage; 5] =
-        [Stage::Synth, Stage::Place, Stage::Route, Stage::Drc, Stage::Extract];
-
-    /// Stable lower-case stage name (checkpoint file stem, manifest entry).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Synth => "synth",
-            Stage::Place => "place",
-            Stage::Route => "route",
-            Stage::Drc => "drc",
-            Stage::Extract => "extract",
-        }
-    }
-
-    /// Container kind byte for this stage's checkpoints (`0x10 +` index,
-    /// disjoint from the model-artifact kind codes).
-    pub fn code(self) -> u8 {
-        0x10 + self as u8
-    }
-
-    /// Telemetry span name for this stage (`stage/<name>`).
-    pub fn span_name(self) -> &'static str {
-        match self {
-            Stage::Synth => "stage/synth",
-            Stage::Place => "stage/place",
-            Stage::Route => "stage/route",
-            Stage::Drc => "stage/drc",
-            Stage::Extract => "stage/extract",
-        }
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A restorable snapshot of the pipeline RNG ([`ChaCha8Rng`]), captured at
 /// each stage boundary. The 128-bit word position is stored as two `u64`
@@ -340,15 +285,6 @@ impl SuiteReport {
     }
 }
 
-/// In-memory state threaded through one design's stages.
-#[derive(Default)]
-struct StageState {
-    design: Option<Design>,
-    route: Option<RouteOutcome>,
-    report: Option<DrcReport>,
-    features: Option<FeatureMatrix>,
-}
-
 /// Writes `bytes` to `path` with the workspace-wide crash-atomic publish
 /// discipline (temp file, fsync, rename, parent-dir fsync), so a kill at
 /// any point never leaves a half-written checkpoint or manifest.
@@ -401,65 +337,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Executes one stage body against `state`, returning whether it finished
-/// degraded. Cancellation surfaces as [`PipelineError::Cancelled`].
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn execute_stage(
-    stage: Stage,
-    spec: &DesignSpec,
-    route_cfg: &RouteConfig,
-    pipeline: &PipelineConfig,
-    state: &mut StageState,
-    rng: &mut ChaCha8Rng,
-    budget: &StageBudget,
-    inject_panic: bool,
-) -> Result<bool, PipelineError> {
-    if inject_panic {
-        panic!("injected fault at {}/{}", spec.name, stage);
-    }
-    let _stage_span = telemetry::span_with(stage.span_name(), || spec.name.clone());
-    let cancelled =
-        || PipelineError::Cancelled { design: spec.name.clone(), stage: stage.name().to_string() };
-    if budget.check() == BudgetState::Cancelled {
-        return Err(cancelled());
-    }
-    match stage {
-        Stage::Synth => {
-            let mut design = Design::new(spec.clone());
-            *rng = ChaCha8Rng::seed_from_u64(spec.seed());
-            synth::generate_cells(&mut design, rng);
-            state.design = Some(design);
-            Ok(false)
-        }
-        Stage::Place => {
-            let design = state.design.as_mut().expect("synth stage ran");
-            let summary = place_budgeted(design, rng, budget).map_err(|_| cancelled())?;
-            synth::generate_nets(design, rng);
-            Ok(summary.deadline_degraded)
-        }
-        Stage::Route => {
-            let design = state.design.as_ref().expect("place stage ran");
-            let outcome =
-                route_design_budgeted(design, route_cfg, rng, budget).map_err(|_| cancelled())?;
-            let degraded = outcome.status.is_degraded();
-            state.route = Some(outcome);
-            Ok(degraded)
-        }
-        Stage::Drc => {
-            let design = state.design.as_ref().expect("place stage ran");
-            let route = state.route.as_ref().expect("route stage ran");
-            state.report = Some(run_drc(design, route, &pipeline.drc, rng));
-            Ok(false)
-        }
-        Stage::Extract => {
-            let design = state.design.as_ref().expect("place stage ran");
-            let route = state.route.as_ref().expect("route stage ran");
-            state.features = Some(extract_design(design, route));
-            Ok(false)
-        }
     }
 }
 
@@ -545,20 +422,20 @@ fn run_design_attempt(
         let budget =
             StageBudget::unlimited().deadline_in(sup.stage_deadline).cancelled_by(cancel.clone());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_stage(
-                stage,
-                spec,
-                route_cfg,
-                &sup.pipeline,
-                &mut state,
-                &mut rng,
-                &budget,
-                inject_panic,
-            )
+            if inject_panic {
+                panic!("injected fault at {}/{}", spec.name, stage);
+            }
+            run_stage(stage, spec, route_cfg, &sup.pipeline.drc, &mut state, &mut rng, &budget)
         }));
         let degraded = match result {
             Ok(Ok(degraded)) => degraded,
-            Ok(Err(e)) => return Err(e.into()),
+            Ok(Err(Interrupted)) => {
+                return Err(PipelineError::Cancelled {
+                    design: spec.name.clone(),
+                    stage: stage.name().to_string(),
+                }
+                .into())
+            }
             Err(payload) => {
                 return Err(PipelineError::StagePanicked {
                     design: spec.name.clone(),
@@ -606,12 +483,7 @@ fn run_design_attempt(
         })?;
     }
 
-    Ok(DesignBundle {
-        design: state.design.expect("synth stage ran"),
-        route: state.route.expect("route stage ran"),
-        report: state.report.expect("drc stage ran"),
-        features: state.features.expect("extract stage ran"),
-    })
+    Ok(state.into_bundle())
 }
 
 /// Supervises one design: up to `max_attempts` attempts, the retry with

@@ -2,54 +2,25 @@
 //! breaker, and an operator kill switch.
 //!
 //! Everything is relaxed atomics — health is consulted on every routing
-//! decision and must cost nanoseconds. The breaker opens after
-//! `failure_threshold` consecutive retryable failures and blocks routing
-//! for `breaker_cooloff`; after the cooloff the shard becomes *half-open*
-//! (routable again), and the next outcome either closes the breaker (a
-//! success resets everything) or re-opens it for a fresh cooloff.
+//! decision and must cost nanoseconds. The breaker opens after three
+//! consecutive retryable failures and blocks routing for 250 ms; after
+//! the cooloff the shard becomes *half-open* (routable again), and the
+//! next outcome either closes the breaker (a success resets everything)
+//! or re-opens it for a fresh cooloff.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Breaker and EWMA tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// Consecutive retryable failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker keeps routing away from the shard before
-    /// allowing a half-open probe through.
-    pub breaker_cooloff: Duration,
-    /// EWMA smoothing factor for per-shard latency (0 < alpha <= 1;
-    /// higher reacts faster, lower smooths harder).
-    pub ewma_alpha: f64,
-}
+/// Consecutive retryable failures that trip the breaker open.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self { failure_threshold: 3, breaker_cooloff: Duration::from_millis(250), ewma_alpha: 0.2 }
-    }
-}
+/// How long an open breaker keeps routing away from the shard before
+/// allowing a half-open probe through.
+const BREAKER_COOLOFF: Duration = Duration::from_millis(250);
 
-impl HealthConfig {
-    /// Checks the knobs for values that cannot run.
-    ///
-    /// # Errors
-    ///
-    /// A usage [`drcshap_ml::DrcshapError`] naming the offending knob.
-    pub fn validate(&self) -> Result<(), drcshap_ml::DrcshapError> {
-        if self.failure_threshold == 0 {
-            return Err(drcshap_ml::DrcshapError::usage(
-                "gateway health: failure_threshold must be at least 1",
-            ));
-        }
-        if !self.ewma_alpha.is_finite() || self.ewma_alpha <= 0.0 || self.ewma_alpha > 1.0 {
-            return Err(drcshap_ml::DrcshapError::usage(
-                "gateway health: ewma_alpha must be in (0, 1]",
-            ));
-        }
-        Ok(())
-    }
-}
+/// EWMA smoothing factor for per-shard latency (higher reacts faster,
+/// lower smooths harder).
+const EWMA_ALPHA: f64 = 0.2;
 
 /// Live health state of one shard. Times are nanoseconds on the gateway's
 /// own monotonic clock (`Gateway::now_ns`), so 0 is "gateway start" and
@@ -81,14 +52,14 @@ impl ShardHealth {
 
     /// Records a successful request: resets the failure streak, closes the
     /// breaker, and folds `latency` into the EWMA.
-    pub(crate) fn observe_success(&self, latency: Duration, alpha: f64) {
+    pub(crate) fn observe_success(&self, latency: Duration) {
         self.failures.store(0, Ordering::Relaxed);
         self.open_until_ns.store(0, Ordering::Relaxed);
         let sample = latency.as_secs_f64() * 1e6;
         let mut current = self.ewma_us.load(Ordering::Relaxed);
         loop {
             let old = f64::from_bits(current);
-            let next = if old == 0.0 { sample } else { old + alpha * (sample - old) };
+            let next = if old == 0.0 { sample } else { old + EWMA_ALPHA * (sample - old) };
             match self.ewma_us.compare_exchange_weak(
                 current,
                 next.to_bits(),
@@ -103,10 +74,10 @@ impl ShardHealth {
 
     /// Records a retryable failure; returns `true` when this failure
     /// newly tripped the breaker open.
-    pub(crate) fn observe_failure(&self, now_ns: u64, config: &HealthConfig) -> bool {
+    pub(crate) fn observe_failure(&self, now_ns: u64) -> bool {
         let failures = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if failures >= config.failure_threshold {
-            let cooloff = config.breaker_cooloff.as_nanos().min(u128::from(u64::MAX)) as u64;
+        if failures >= FAILURE_THRESHOLD {
+            let cooloff = BREAKER_COOLOFF.as_nanos() as u64;
             // 0 is reserved for "closed", so an open deadline is always >= 1.
             let until = now_ns.saturating_add(cooloff).max(1);
             if self.open_until_ns.swap(until, Ordering::Relaxed) == 0 {
@@ -152,37 +123,34 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooloff() {
         let health = ShardHealth::default();
-        let config = HealthConfig {
-            failure_threshold: 3,
-            breaker_cooloff: Duration::from_nanos(1_000),
-            ewma_alpha: 0.2,
-        };
+        let cooloff = BREAKER_COOLOFF.as_nanos() as u64;
         assert!(health.available(0));
-        assert!(!health.observe_failure(0, &config));
-        assert!(!health.observe_failure(0, &config));
-        assert!(health.observe_failure(0, &config), "third failure trips the breaker");
+        assert!(!health.observe_failure(0));
+        assert!(!health.observe_failure(0));
+        assert!(health.observe_failure(0), "third failure trips the breaker");
         assert!(!health.available(500), "open breaker blocks routing");
+        assert!(!health.available(cooloff - 1), "still open just before the cooloff ends");
         assert!(health.breaker_open(500));
         assert_eq!(health.breaker_opens(), 1);
         // After the cooloff the shard is half-open: routable for a probe.
-        assert!(health.available(1_500));
-        assert!(!health.breaker_open(1_500));
+        assert!(health.available(cooloff + 500));
+        assert!(!health.breaker_open(cooloff + 500));
         // A failed probe re-opens (already counted open, not a new open).
-        health.observe_failure(1_500, &config);
-        assert!(!health.available(1_600));
+        health.observe_failure(cooloff + 500);
+        assert!(!health.available(cooloff + 600));
         // A success closes everything.
-        health.observe_success(Duration::from_micros(100), config.ewma_alpha);
-        assert!(health.available(1_700));
+        health.observe_success(Duration::from_micros(100));
+        assert!(health.available(cooloff + 700));
         assert_eq!(health.consecutive_failures(), 0);
     }
 
     #[test]
     fn ewma_tracks_latency() {
         let health = ShardHealth::default();
-        health.observe_success(Duration::from_micros(100), 0.5);
+        health.observe_success(Duration::from_micros(100));
         assert!((health.ewma_latency_us() - 100.0).abs() < 1e-9, "first sample seeds the EWMA");
-        health.observe_success(Duration::from_micros(200), 0.5);
-        assert!((health.ewma_latency_us() - 150.0).abs() < 1e-9);
+        health.observe_success(Duration::from_micros(200));
+        assert!((health.ewma_latency_us() - 120.0).abs() < 1e-9);
     }
 
     #[test]
@@ -192,15 +160,7 @@ mod tests {
         assert!(health.is_killed());
         assert!(!health.available(0));
         // Even a success cannot resurrect a killed shard.
-        health.observe_success(Duration::from_micros(10), 0.2);
+        health.observe_success(Duration::from_micros(10));
         assert!(!health.available(u64::MAX));
-    }
-
-    #[test]
-    fn health_config_validates() {
-        assert!(HealthConfig { failure_threshold: 0, ..Default::default() }.validate().is_err());
-        assert!(HealthConfig { ewma_alpha: 0.0, ..Default::default() }.validate().is_err());
-        assert!(HealthConfig { ewma_alpha: 1.5, ..Default::default() }.validate().is_err());
-        assert!(HealthConfig::default().validate().is_ok());
     }
 }

@@ -20,9 +20,9 @@
 //!   gateway (`DeadlineExceeded { shard_untouched: true }`), and one that
 //!   expires while queued is shed by the shard worker before any scoring
 //!   work.
-//! - **Health & failover** ([`HealthConfig`]): per-shard latency EWMAs
-//!   and consecutive-failure circuit breakers steer routing away from
-//!   sick shards; retryable failures ([`DrcshapError::is_retryable`])
+//! - **Health & failover**: per-shard latency EWMAs and
+//!   consecutive-failure circuit breakers steer routing away from sick
+//!   shards; retryable failures ([`DrcshapError::is_retryable`])
 //!   are retried on the next shard in ring order with bounded exponential
 //!   backoff, and optionally *hedged* — a duplicate sent to a backup when
 //!   the primary is slow, first bit-exact answer wins.
@@ -56,14 +56,14 @@ use drcshap_geom::StageBudget;
 use drcshap_ml::DrcshapError;
 use drcshap_serve::{ScoredResponse, ServeConfig, ServeEngine, ServeMetrics, Ticket};
 use drcshap_shap::Explanation;
+use drcshap_store::fnv1a64;
 use drcshap_telemetry as telemetry;
 use drcshap_xsat::{AbductiveExplanation, XsatBudget};
 
 pub use admission::{Priority, QuotaConfig};
-pub use health::HealthConfig;
 pub use metrics::{GatewayMetrics, ShardStatus};
 pub use rollout::RolloutReport;
-pub use routing::{fnv1a64, HashRing};
+pub use routing::HashRing;
 
 use admission::Admission;
 use health::ShardHealth;
@@ -71,6 +71,10 @@ use metrics::GatewayRegistry;
 
 /// Polling slice while a request is hedged across two shards.
 const HEDGE_POLL: Duration = Duration::from_micros(200);
+
+/// Initial retry backoff; doubled per retry, capped at [`BACKOFF_CAP`],
+/// and never slept past the request deadline.
+const RETRY_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Ceiling on the per-retry exponential backoff.
 const BACKOFF_CAP: Duration = Duration::from_millis(50);
@@ -87,18 +91,14 @@ pub struct GatewayConfig {
     /// Deadline applied to requests that do not carry their own. One past
     /// the end of the clock's range means no deadline.
     pub default_deadline: Option<Duration>,
-    /// Retry attempts after the first (0 disables retries).
+    /// Retry attempts after the first (0 disables retries), with an
+    /// exponential backoff from 200 µs capped at 50 ms.
     pub max_retries: usize,
-    /// Initial retry backoff; doubled per retry, capped at 50 ms, and
-    /// never slept past the request deadline.
-    pub retry_backoff: Duration,
     /// Hedge a request to a backup shard when the primary has not
     /// answered within this window (`None` disables hedging).
     pub hedge_after: Option<Duration>,
     /// Per-tenant admission quota (`None` admits everything).
     pub quota: Option<QuotaConfig>,
-    /// Shard health and circuit-breaker tuning.
-    pub health: HealthConfig,
 }
 
 impl Default for GatewayConfig {
@@ -109,10 +109,8 @@ impl Default for GatewayConfig {
             serve: ServeConfig::default(),
             default_deadline: None,
             max_retries: 2,
-            retry_backoff: Duration::from_micros(200),
             hedge_after: None,
             quota: None,
-            health: HealthConfig::default(),
         }
     }
 }
@@ -134,7 +132,7 @@ impl GatewayConfig {
         if let Some(quota) = &self.quota {
             quota.validate()?;
         }
-        self.health.validate()
+        Ok(())
     }
 }
 
@@ -392,7 +390,7 @@ impl Gateway {
         let max_attempts = self.config.max_retries.saturating_add(1) as u32;
         let mut attempts = 0u32;
         let mut pos = 0usize;
-        let mut backoff = self.config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut last_err: Option<DrcshapError> = None;
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -417,7 +415,8 @@ impl Gateway {
             match self.attempt(shard, &order, pos, &request.x, &budget) {
                 Ok((scored, winner, hedged)) => {
                     self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.latency.record(t0.elapsed());
+                    let elapsed_ns = t0.elapsed().as_nanos() as f64;
+                    self.metrics.latency.lock().expect("latency lock poisoned").insert(elapsed_ns);
                     return Ok(GatewayResponse {
                         score: scored.score,
                         epoch: scored.epoch,
@@ -487,9 +486,7 @@ impl Gateway {
             }
         };
         match &result {
-            Ok((_, winner, _)) => self.shards[*winner]
-                .health
-                .observe_success(started.elapsed(), self.config.health.ewma_alpha),
+            Ok((_, winner, _)) => self.shards[*winner].health.observe_success(started.elapsed()),
             Err(e) => self.note_shard_error(primary, e),
         }
         result
@@ -592,9 +589,7 @@ impl Gateway {
     /// (retryable) failures feed the breaker — input errors and expired
     /// client deadlines say nothing about the shard itself.
     fn note_shard_error(&self, shard: usize, e: &DrcshapError) {
-        if e.is_retryable()
-            && self.shards[shard].health.observe_failure(self.now_ns(), &self.config.health)
-        {
+        if e.is_retryable() && self.shards[shard].health.observe_failure(self.now_ns()) {
             telemetry::counter("gateway/breaker_opens", 1);
         }
     }

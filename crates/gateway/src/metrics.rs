@@ -3,12 +3,15 @@
 //! [`GatewayMetrics`] for the CLI's `--stats` flag and the bench gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use drcshap_serve::{LatencyHistogram, ServeMetrics};
+use drcshap_serve::ServeMetrics;
+use drcshap_telemetry::QuantileSketch;
 use serde::Serialize;
 
 /// Live fleet counters. Updated with relaxed atomics from the routing,
-/// admission, retry, hedge, and rollout paths.
+/// admission, retry, hedge, and rollout paths; the latency sketch is
+/// locked once per completed request.
 #[derive(Debug, Default)]
 pub(crate) struct GatewayRegistry {
     /// Requests entering `Gateway::score` (before admission).
@@ -33,13 +36,15 @@ pub(crate) struct GatewayRegistry {
     pub rollouts: AtomicU64,
     /// Rollouts rolled back (canary digest mismatch or mid-fleet failure).
     pub rollbacks: AtomicU64,
-    /// End-to-end gateway latency per completed request.
-    pub latency: LatencyHistogram,
+    /// End-to-end gateway latency per completed request, in nanoseconds.
+    pub latency: Mutex<QuantileSketch>,
 }
 
 impl GatewayRegistry {
     /// Snapshots the fleet counters, attaching per-shard status rows.
     pub(crate) fn snapshot(&self, shards: Vec<ShardStatus>) -> GatewayMetrics {
+        let latency = self.latency.lock().expect("latency lock poisoned");
+        let latency_us = |q| latency.quantile(q).unwrap_or(0.0) / 1e3;
         GatewayMetrics {
             requests_total: self.requests.load(Ordering::Relaxed),
             completed_total: self.completed.load(Ordering::Relaxed),
@@ -53,8 +58,8 @@ impl GatewayRegistry {
             breaker_opens_total: shards.iter().map(|s| s.breaker_opens).sum(),
             rollouts_total: self.rollouts.load(Ordering::Relaxed),
             rollbacks_total: self.rollbacks.load(Ordering::Relaxed),
-            latency_p50_us: self.latency.quantile_ns(0.50) as f64 / 1e3,
-            latency_p99_us: self.latency.quantile_ns(0.99) as f64 / 1e3,
+            latency_p50_us: latency_us(0.50),
+            latency_p99_us: latency_us(0.99),
             shards,
         }
     }
@@ -110,59 +115,15 @@ pub struct GatewayMetrics {
     pub rollouts_total: u64,
     /// Rollouts rolled back.
     pub rollbacks_total: u64,
-    /// Median end-to-end gateway latency, microseconds (bucket upper
-    /// bound).
+    /// Median end-to-end gateway latency, microseconds, within 2^-7 of
+    /// the rank-⌈n/2⌉ latency (0 before the first completed request).
     pub latency_p50_us: f64,
-    /// 99th-percentile end-to-end gateway latency, microseconds.
+    /// 99th-percentile end-to-end gateway latency, microseconds, within
+    /// 2^-7 of the rank-⌈0.99n⌉ latency (0 before the first completed
+    /// request).
     pub latency_p99_us: f64,
     /// Per-shard status rows, indexed by shard.
     pub shards: Vec<ShardStatus>,
-}
-
-impl std::fmt::Display for GatewayMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "gateway requests {} (completed {}, quota-shed {}, deadline-shed {}, errors {})",
-            self.requests_total,
-            self.completed_total,
-            self.shed_quota_total,
-            self.shed_deadline_total,
-            self.errors_total
-        )?;
-        writeln!(
-            f,
-            "retries {}, failovers {}, hedges {} (won {}), breaker opens {}, rollouts {} \
-             (rolled back {})",
-            self.retries_total,
-            self.failovers_total,
-            self.hedges_total,
-            self.hedge_wins_total,
-            self.breaker_opens_total,
-            self.rollouts_total,
-            self.rollbacks_total
-        )?;
-        writeln!(
-            f,
-            "latency p50 {:.1} us, p99 {:.1} us",
-            self.latency_p50_us, self.latency_p99_us
-        )?;
-        for s in &self.shards {
-            let state = if s.killed {
-                "killed"
-            } else if s.breaker_open {
-                "breaker-open"
-            } else {
-                "up"
-            };
-            writeln!(
-                f,
-                "shard {}: {state}, epoch {}, scored {}, ewma {:.1} us",
-                s.shard, s.engine.model_epoch, s.engine.samples_scored, s.ewma_latency_us
-            )?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +141,22 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("serializable");
         assert!(json.contains("\"requests_total\":5"), "{json}");
         assert!(json.contains("\"shards\":[]"), "{json}");
-        let text = snap.to_string();
-        assert!(text.contains("gateway requests 5"), "{text}");
+        assert_eq!((snap.latency_p50_us, snap.latency_p99_us), (0.0, 0.0), "no requests yet");
+    }
+
+    #[test]
+    fn latency_quantiles_are_within_the_sketch_accuracy() {
+        let registry = GatewayRegistry::default();
+        {
+            let mut latency = registry.latency.lock().unwrap();
+            for us in 1..=1000u32 {
+                latency.insert(f64::from(us) * 1e3);
+            }
+        }
+        let snap = registry.snapshot(vec![]);
+        // The exact rank-⌈qn⌉ latencies are 500 and 990 µs.
+        for (got, exact) in [(snap.latency_p50_us, 500.0), (snap.latency_p99_us, 990.0)] {
+            assert!((got - exact).abs() <= exact / 128.0, "{got} vs {exact}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Consistent-hash routing: maps a request key to an ordered failover
 //! sequence of shards.
 //!
-//! The ring hashes `vnodes` virtual points per shard with FNV-1a, sorts
+//! The ring hashes `vnodes` virtual points per shard with FNV-1a (the
+//! registry's [`fnv1a64`]), sorts
 //! them, and routes a key to the first point clockwise of the key's own
 //! hash. Walking onward yields every remaining shard exactly once, in a
 //! key-dependent order — the gateway uses that sequence for failover and
@@ -9,18 +10,7 @@
 //! a random one, and a key keeps warming the same shard's explanation
 //! cache across requests.
 
-/// FNV-1a, 64-bit: tiny, allocation-free, and uniform enough for ring
-/// placement and request keys. Not cryptographic — never use it for
-/// integrity (that is what `core::artifact`'s CRC32 framing is for).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+use drcshap_store::fnv1a64;
 
 /// A consistent-hash ring over `shards` shards with `vnodes` virtual
 /// points per shard. Immutable after construction; routing is lock-free.

@@ -2,13 +2,15 @@
 //! complexity accounting of the paper's Table II (`# Model param.`,
 //! `# Prediction op.`).
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::error::{DrcshapError, InputError};
 
-/// How the validated predict boundary ([`Classifier::score_checked`]) treats
-/// NaN / infinite feature values.
+/// How the admission boundary ([`NanPolicy::admit`]) treats NaN / infinite
+/// feature values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum NanPolicy {
     /// Reject the sample with [`InputError::NonFinite`] (the safe default:
@@ -23,6 +25,53 @@ pub enum NanPolicy {
     /// models fall back to zero-imputation. Infinities take their natural
     /// comparison branch.
     NanAware,
+}
+
+impl NanPolicy {
+    /// Admits one feature row from outside the program: the one rule the
+    /// scoring and explaining entry points share. The length is checked
+    /// against `expected` (when known) first; then non-finite values meet
+    /// the policy. [`NanPolicy::Reject`] fails on the first one;
+    /// [`NanPolicy::ImputeZero`] replaces each with `0.0`;
+    /// [`NanPolicy::NanAware`] keeps them when the consumer has a NaN path
+    /// (`nan_path`, tree scoring) and zero-imputes them otherwise
+    /// (TreeSHAP, abduction and non-tree models have none). An owned row
+    /// is imputed in place; a borrowed one is copied only when a value
+    /// must change.
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::LengthMismatch`] when the length is wrong;
+    /// [`InputError::NonFinite`], naming the first non-finite value, under
+    /// [`NanPolicy::Reject`].
+    pub fn admit<'a>(
+        self,
+        x: impl Into<Cow<'a, [f32]>>,
+        expected: Option<usize>,
+        nan_path: bool,
+    ) -> Result<Cow<'a, [f32]>, DrcshapError> {
+        let mut x = x.into();
+        if let Some(expected) = expected {
+            if x.len() != expected {
+                return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
+            }
+        }
+        if self == NanPolicy::NanAware && nan_path {
+            return Ok(x);
+        }
+        let Some(index) = x.iter().position(|v| !v.is_finite()) else {
+            return Ok(x);
+        };
+        if self == NanPolicy::Reject {
+            return Err(InputError::NonFinite { index, value: x[index] }.into());
+        }
+        for v in &mut x.to_mut()[index..] {
+            if !v.is_finite() {
+                *v = 0.0;
+            }
+        }
+        Ok(x)
+    }
 }
 
 /// Model size and per-prediction cost, as reported in Table II.
@@ -84,17 +133,15 @@ pub trait Classifier: Send + Sync {
     /// the score. The default implementation zero-imputes non-finite values;
     /// tree ensembles override it with per-node default-direction routing.
     fn score_nan_aware(&self, x: &[f32]) -> f64 {
-        if x.iter().all(|v| v.is_finite()) {
-            return self.score(x);
-        }
-        let clean: Vec<f32> = x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
+        let clean = NanPolicy::ImputeZero.admit(x, None, false).expect("no length to mismatch");
         self.score(&clean)
     }
 
-    /// The validated predict boundary: checks the feature-vector length
-    /// against [`Classifier::expected_features`] and applies `policy` to
-    /// non-finite values, so no malformed input can reach the panic-prone
-    /// raw [`Classifier::score`] path.
+    /// The validated predict boundary: admits `x` through
+    /// [`NanPolicy::admit`] against [`Classifier::expected_features`], so
+    /// no malformed input can reach the panic-prone raw
+    /// [`Classifier::score`] path; [`NanPolicy::NanAware`] rows score
+    /// through [`Classifier::score_nan_aware`].
     ///
     /// # Errors
     ///
@@ -102,29 +149,8 @@ pub trait Classifier: Send + Sync {
     /// [`InputError::NonFinite`] when `policy` is [`NanPolicy::Reject`] and
     /// the vector contains a NaN or infinity.
     fn score_checked(&self, x: &[f32], policy: NanPolicy) -> Result<f64, DrcshapError> {
-        if let Some(expected) = self.expected_features() {
-            if x.len() != expected {
-                return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
-            }
-        }
-        match policy {
-            NanPolicy::Reject => {
-                if let Some((index, &value)) = x.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-                    return Err(InputError::NonFinite { index, value }.into());
-                }
-                Ok(self.score(x))
-            }
-            NanPolicy::ImputeZero => {
-                if x.iter().all(|v| v.is_finite()) {
-                    Ok(self.score(x))
-                } else {
-                    let clean: Vec<f32> =
-                        x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
-                    Ok(self.score(&clean))
-                }
-            }
-            NanPolicy::NanAware => Ok(self.score_nan_aware(x)),
-        }
+        let x = policy.admit(x, self.expected_features(), true)?;
+        Ok(if policy == NanPolicy::NanAware { self.score_nan_aware(&x) } else { self.score(&x) })
     }
 }
 

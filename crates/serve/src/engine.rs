@@ -330,28 +330,7 @@ impl ServeEngine {
             }
             BudgetState::Cancelled => return Err(DrcshapError::Interrupted),
         }
-        let expected = self.n_features();
-        if x.len() != expected {
-            return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
-        }
-        let x = match self.shared.config.nan_policy {
-            NanPolicy::Reject => {
-                if let Some((index, value)) = x.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-                    return Err(InputError::NonFinite { index, value: *value }.into());
-                }
-                x
-            }
-            NanPolicy::ImputeZero => {
-                let mut x = x;
-                for v in x.iter_mut() {
-                    if !v.is_finite() {
-                        *v = 0.0;
-                    }
-                }
-                x
-            }
-            NanPolicy::NanAware => x,
-        };
+        let x = self.shared.config.nan_policy.admit(x, Some(self.n_features()), true)?.into_owned();
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.shared.queue.lock().expect("queue lock poisoned");
@@ -398,39 +377,21 @@ impl ServeEngine {
     /// the reject policy.
     pub fn explain(&self, x: &[f32]) -> Result<Arc<Explanation>, DrcshapError> {
         let model = self.shared.cell.load();
-        let expected = model.compiled.n_features();
-        if x.len() != expected {
-            return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
-        }
-        let needs_clean = x.iter().any(|v| !v.is_finite());
-        let cleaned: Vec<f32>;
-        let key: &[f32] = if needs_clean {
-            if self.shared.config.nan_policy == NanPolicy::Reject {
-                let (index, value) = x
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| !v.is_finite())
-                    .map(|(i, v)| (i, *v))
-                    .expect("non-finite value present");
-                return Err(InputError::NonFinite { index, value }.into());
-            }
-            cleaned = x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
-            &cleaned
-        } else {
-            x
-        };
+        // The explainers have no NaN path: NaN-aware rows are zero-imputed.
+        let key =
+            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
         self.shared.metrics.explains.fetch_add(1, Ordering::Relaxed);
-        let explanation = match self.shared.cache.get(key) {
+        let explanation = match self.shared.cache.get(&key) {
             Some(hit) => hit,
             None => {
-                let fresh = Arc::new(explain_forest(&model.forest, key));
-                self.shared.cache.insert(key, Arc::clone(&fresh));
+                let fresh = Arc::new(explain_forest(&model.forest, &key));
+                self.shared.cache.insert(&key, Arc::clone(&fresh));
                 fresh
             }
         };
         // Cache hits fold too: analytics weights features by *traffic*,
         // and a repeated request is real traffic.
-        self.fold_analytics(&model, key, &explanation.contributions);
+        self.fold_analytics(&model, &key, &explanation.contributions);
         Ok(explanation)
     }
 
@@ -472,32 +433,13 @@ impl ServeEngine {
     pub fn explain_interactions(&self, x: &[f32]) -> Result<InteractionValues, DrcshapError> {
         let _span = telemetry::span("serve/explain_interactions");
         let model = self.shared.cell.load();
-        let expected = model.compiled.n_features();
-        if x.len() != expected {
-            return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
-        }
-        let needs_clean = x.iter().any(|v| !v.is_finite());
-        let cleaned: Vec<f32>;
-        let key: &[f32] = if needs_clean {
-            if self.shared.config.nan_policy == NanPolicy::Reject {
-                let (index, value) = x
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| !v.is_finite())
-                    .map(|(i, v)| (i, *v))
-                    .expect("non-finite value present");
-                return Err(InputError::NonFinite { index, value }.into());
-            }
-            cleaned = x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
-            &cleaned
-        } else {
-            x
-        };
-        let iv = forest_shap_interactions(&model.forest, key);
+        let key =
+            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
+        let iv = forest_shap_interactions(&model.forest, &key);
         if let Some(state) = &self.shared.analytics {
             if state.sharded.config().interactions {
                 let phi: Vec<f64> = (0..iv.n_features()).map(|i| iv.row(i).iter().sum()).collect();
-                match state.sharded.fold(model.epoch, key, &phi, Some(&iv)) {
+                match state.sharded.fold(model.epoch, &key, &phi, Some(&iv)) {
                     Ok(true) => {
                         self.shared.metrics.analytics_folds.fetch_add(1, Ordering::Relaxed);
                     }
@@ -562,27 +504,8 @@ impl ServeEngine {
     ) -> Result<AbductiveExplanation, DrcshapError> {
         let _span = telemetry::span("serve/explain_abductive");
         let model = self.shared.cell.load();
-        let expected = model.compiled.n_features();
-        if x.len() != expected {
-            return Err(InputError::LengthMismatch { expected, found: x.len() }.into());
-        }
-        let needs_clean = x.iter().any(|v| !v.is_finite());
-        let cleaned: Vec<f32>;
-        let key: &[f32] = if needs_clean {
-            if self.shared.config.nan_policy == NanPolicy::Reject {
-                let (index, value) = x
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| !v.is_finite())
-                    .map(|(i, v)| (i, *v))
-                    .expect("non-finite value present");
-                return Err(InputError::NonFinite { index, value }.into());
-            }
-            cleaned = x.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect();
-            &cleaned
-        } else {
-            x
-        };
+        let key =
+            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
         self.shared.metrics.abductive.fetch_add(1, Ordering::Relaxed);
         let mut slot = self.shared.abductive.lock().expect("abductive lock poisoned");
         match slot.as_ref() {
@@ -590,7 +513,7 @@ impl ServeEngine {
             _ => *slot = Some((model.epoch, AbductiveEngine::new(&model.forest)?)),
         }
         let (_, engine) = slot.as_mut().expect("engine just ensured");
-        let result = engine.explain(key, budget);
+        let result = engine.explain(&key, budget);
         if matches!(result, Err(DrcshapError::ExplanationTimeout { .. })) {
             self.shared.metrics.abductive_timeouts.fetch_add(1, Ordering::Relaxed);
         }
@@ -761,8 +684,9 @@ fn worker_loop(shared: &Shared) {
         telemetry::counter("serve/samples", batch_size as u64);
         // Newest first: a client waiting on its oldest ticket wakes once,
         // after every other response of the batch is already sent.
+        let mut latency = shared.metrics.latency.lock().expect("latency lock poisoned");
         for (pending, score) in accepted.into_iter().zip(scores).rev() {
-            shared.metrics.latency.record(pending.enqueued.elapsed());
+            latency.insert(pending.enqueued.elapsed().as_nanos() as f64);
             let _ = pending.tx.send(Ok(ScoredResponse { score, epoch: model.epoch, batch_size }));
         }
     }
@@ -864,6 +788,47 @@ mod tests {
         );
         let e = engine.score(vec![0.5, f32::NAN]).unwrap_err();
         assert!(matches!(e, DrcshapError::Input(InputError::NonFinite { index: 1, .. })), "{e}");
+    }
+
+    #[test]
+    fn explain_entry_points_admit_rows_like_submit() {
+        let rf = forest(8);
+        let budget = XsatBudget::default();
+        let imputed = [0.5f32, 0.0];
+        let mut abduction = AbductiveEngine::new(&rf).expect("encodes");
+        let want_abductive = abduction.explain(&imputed, &budget).expect("explains");
+        for policy in [NanPolicy::Reject, NanPolicy::ImputeZero, NanPolicy::NanAware] {
+            let config = ServeConfig { nan_policy: policy, ..quick_config() };
+            let engine = ServeEngine::start(config, rf.clone(), 7).expect("start");
+            let mut bad_rows = vec![vec![0.5f32]];
+            if policy == NanPolicy::Reject {
+                bad_rows.push(vec![0.5, f32::NAN]);
+            }
+            for row in &bad_rows {
+                let want = format!("{:?}", engine.submit(row.clone()).unwrap_err());
+                let errors = [
+                    engine.explain(row).unwrap_err(),
+                    engine.explain_interactions(row).unwrap_err(),
+                    engine.explain_abductive(row, &budget).unwrap_err(),
+                ];
+                for e in errors {
+                    assert_eq!(format!("{e:?}"), want, "{policy:?} {row:?}");
+                }
+            }
+            if policy == NanPolicy::Reject {
+                continue;
+            }
+            // The explainers have no NaN path: both other policies explain
+            // the zero-imputed row.
+            let nan_row = [0.5, f32::NAN];
+            let shap = engine.explain(&nan_row).expect("explains");
+            assert_eq!(shap.contributions, explain_forest(&rf, &imputed).contributions);
+            let iv = engine.explain_interactions(&nan_row).expect("explains");
+            assert_eq!(iv, forest_shap_interactions(&rf, &imputed), "{policy:?}");
+            let abductive = engine.explain_abductive(&nan_row, &budget).expect("explains");
+            assert_eq!(abductive.sufficient, want_abductive.sufficient, "{policy:?}");
+            assert_eq!(abductive.contrastive, want_abductive.contrastive, "{policy:?}");
+        }
     }
 
     #[test]

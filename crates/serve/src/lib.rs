@@ -18,8 +18,8 @@
 //!   requests, and swaps with a different schema fingerprint are
 //!   rejected.
 //! - [`ServeMetrics`] — a serializable snapshot of request/batch
-//!   counters, cache hit rate, queue depth, and log-bucketed latency
-//!   quantiles.
+//!   counters, cache hit rate, queue depth, and latency quantiles from a
+//!   `drcshap_telemetry::QuantileSketch`.
 //!
 //! Every batch is scored by the epoch's [`CompiledForest`]; the
 //! reference `RandomForest::predict_proba` / `predict_proba_nan_aware`
@@ -39,5 +39,5 @@ pub mod swap;
 pub use cache::{CacheStats, ExplanationCache};
 pub use compiled::CompiledForest;
 pub use engine::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
-pub use metrics::{LatencyHistogram, MetricsRegistry, ServeMetrics};
+pub use metrics::{MetricsRegistry, ServeMetrics};
 pub use swap::{EpochCell, ModelEpoch};

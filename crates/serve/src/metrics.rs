@@ -1,70 +1,15 @@
-//! Serving metrics: lock-free counters, a queue-depth gauge, and
-//! log-bucketed latency histograms with quantile extraction.
+//! Serving metrics: relaxed-atomic counters, a queue-depth gauge, and a
+//! [`QuantileSketch`] of request latencies.
 //!
-//! Everything on the record path is a relaxed atomic — no locks, no
-//! allocation — so instrumenting the hot path costs a handful of
-//! nanoseconds per request. [`ServeMetrics`] is the serializable snapshot
-//! the CLI's `--stats` flag and operators consume.
+//! Counters are relaxed atomics; the latency sketch sits behind a mutex
+//! that a worker takes once per flushed batch. [`ServeMetrics`] is the
+//! serializable snapshot the CLI's `--stats` flag and operators consume.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Mutex;
 
+use drcshap_telemetry::QuantileSketch;
 use serde::Serialize;
-
-/// Number of power-of-two latency buckets: bucket `i` counts durations in
-/// `[2^i, 2^(i+1))` nanoseconds; bucket 63 absorbs everything larger.
-const BUCKETS: usize = 64;
-
-/// A log-bucketed histogram of durations. Buckets are powers of two in
-/// nanoseconds, so 64 buckets span sub-nanosecond to centuries with ~2×
-/// quantile resolution — plenty for latency work, at a fixed 512-byte
-/// footprint and a wait-free `record`.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
-        let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        // Index of the highest set bit (0 for 0..=1 ns).
-        let idx = (64 - nanos.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) as an upper bound in nanoseconds:
-    /// the smallest bucket boundary below which at least a `q` fraction of
-    /// samples fall. Returns 0 when the histogram is empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Upper edge of bucket i: 2^(i+1) ns, saturating at the top.
-                return if i + 1 >= 64 { u64::MAX } else { 1u64 << (i + 1) };
-            }
-        }
-        u64::MAX
-    }
-}
 
 /// Live counters of a serving engine. Updated with relaxed atomics from
 /// submit, worker, swap, and explain paths; snapshotted by
@@ -99,8 +44,8 @@ pub struct MetricsRegistry {
     pub analytics_folds: AtomicU64,
     /// Analytics folds dropped because they raced a hot swap.
     pub analytics_stale_folds: AtomicU64,
-    /// Enqueue-to-response latency per request.
-    pub latency: LatencyHistogram,
+    /// Enqueue-to-response latency per request, in nanoseconds.
+    pub latency: Mutex<QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -109,6 +54,8 @@ impl MetricsRegistry {
     pub fn snapshot(&self, cache: crate::cache::CacheStats, model_epoch: u64) -> ServeMetrics {
         let batches = self.batches.load(Ordering::Relaxed);
         let samples = self.samples.load(Ordering::Relaxed);
+        let latency = self.latency.lock().expect("latency lock poisoned");
+        let latency_us = |q| latency.quantile(q).unwrap_or(0.0) / 1e3;
         ServeMetrics {
             requests_total: self.requests.load(Ordering::Relaxed),
             rejected_total: self.rejected.load(Ordering::Relaxed),
@@ -129,8 +76,8 @@ impl MetricsRegistry {
             cache_misses: cache.misses,
             cache_len: cache.len,
             cache_hit_rate: cache.hit_rate(),
-            latency_p50_us: self.latency.quantile_ns(0.50) as f64 / 1e3,
-            latency_p99_us: self.latency.quantile_ns(0.99) as f64 / 1e3,
+            latency_p50_us: latency_us(0.50),
+            latency_p99_us: latency_us(0.99),
         }
     }
 }
@@ -178,82 +125,17 @@ pub struct ServeMetrics {
     pub cache_len: usize,
     /// `hits / (hits + misses)`, 0 when no lookups happened.
     pub cache_hit_rate: f64,
-    /// Median enqueue-to-response latency, microseconds (bucket upper
-    /// bound).
+    /// Median enqueue-to-response latency, microseconds, within 2^-7 of
+    /// the rank-⌈n/2⌉ latency (0 before the first response).
     pub latency_p50_us: f64,
-    /// 99th-percentile enqueue-to-response latency, microseconds.
+    /// 99th-percentile enqueue-to-response latency, microseconds, within
+    /// 2^-7 of the rank-⌈0.99n⌉ latency (0 before the first response).
     pub latency_p99_us: f64,
-}
-
-impl std::fmt::Display for ServeMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests {} (rejected {}, deadline-shed {}, cancelled {}), batches {} (mean {:.1}), \
-             queue depth {}",
-            self.requests_total,
-            self.rejected_total,
-            self.deadline_shed_total,
-            self.cancelled_total,
-            self.batches_total,
-            self.mean_batch,
-            self.queue_depth
-        )?;
-        writeln!(
-            f,
-            "model epoch {} ({} swaps), explains {} (cache {:.0}% of {} lookups)",
-            self.model_epoch,
-            self.swaps_total,
-            self.explains_total,
-            self.cache_hit_rate * 100.0,
-            self.cache_hits + self.cache_misses
-        )?;
-        write!(f, "latency p50 {:.1} us, p99 {:.1} us", self.latency_p50_us, self.latency_p99_us)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(1)); // bucket 0
-        h.record(Duration::from_nanos(3)); // bucket 1
-        h.record(Duration::from_nanos(1000)); // bucket 9 (512..1024 ns)
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1);
-        assert_eq!(h.buckets[1].load(Ordering::Relaxed), 1);
-        assert_eq!(h.buckets[9].load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn quantiles_walk_the_buckets() {
-        let h = LatencyHistogram::default();
-        for _ in 0..99 {
-            h.record(Duration::from_nanos(100)); // bucket 6, upper edge 128
-        }
-        h.record(Duration::from_micros(100)); // bucket 16, upper edge 131072
-        assert_eq!(h.quantile_ns(0.5), 128);
-        assert_eq!(h.quantile_ns(0.99), 128);
-        assert_eq!(h.quantile_ns(1.0), 131_072);
-        assert!(h.quantile_ns(0.5) <= h.quantile_ns(0.99));
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_ns(0.5), 0);
-    }
-
-    #[test]
-    fn zero_duration_lands_in_the_first_bucket() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::ZERO);
-        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1);
-    }
 
     #[test]
     fn snapshot_computes_derived_rates() {
@@ -268,7 +150,24 @@ mod tests {
         assert!((snap.cache_hit_rate - 0.75).abs() < 1e-12);
         let json = serde_json::to_string(&snap).expect("serializable");
         assert!(json.contains("\"requests_total\":10"), "{json}");
-        let text = snap.to_string();
-        assert!(text.contains("epoch 2"), "{text}");
+        assert!(json.contains("\"model_epoch\":2"), "{json}");
+        assert_eq!((snap.latency_p50_us, snap.latency_p99_us), (0.0, 0.0), "no responses yet");
+    }
+
+    #[test]
+    fn latency_quantiles_are_within_the_sketch_accuracy() {
+        let m = MetricsRegistry::default();
+        {
+            let mut latency = m.latency.lock().unwrap();
+            for us in 1..=1000u32 {
+                latency.insert(f64::from(us) * 1e3);
+            }
+        }
+        let cache = crate::cache::CacheStats { hits: 0, misses: 0, len: 0, capacity: 0 };
+        let snap = m.snapshot(cache, 1);
+        // The exact rank-⌈qn⌉ latencies are 500 and 990 µs.
+        for (got, exact) in [(snap.latency_p50_us, 500.0), (snap.latency_p99_us, 990.0)] {
+            assert!((got - exact).abs() <= exact / 128.0, "{got} vs {exact}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Serve-path analytics: the engine's mounted sink must produce
-//! bit-identical snapshot digests regardless of worker/shard/client
+//! bit-identical snapshot digests regardless of worker/client
 //! parallelism, freeze the old epoch on hot swap (new epoch starts
 //! empty), and keep the explain path entirely unaffected when disabled.
 
@@ -37,21 +37,22 @@ fn probes(count: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn config_with_analytics(workers: usize, shards: usize) -> ServeConfig {
+fn config_with_analytics(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
         max_batch: 8,
         max_wait: Duration::from_micros(200),
         cache_capacity: 16,
-        analytics: Some(AnalyticsConfig { shards, ..Default::default() }),
+        analytics: Some(AnalyticsConfig::default()),
         ..Default::default()
     }
 }
 
 /// The acceptance bar: the same explained multiset produces the same
-/// snapshot digest whatever the engine's worker count, the sink's shard
-/// count, or the number of client threads — and it equals a plain
-/// single-threaded [`AnalyticsSink`] fold of the same cases.
+/// snapshot digest whatever the engine's worker count or the number of
+/// client threads (each client thread folds into the sink shard its id
+/// hashes to) — and it equals a plain single-threaded [`AnalyticsSink`]
+/// fold of the same cases.
 #[test]
 fn digests_are_bit_identical_across_worker_and_shard_counts() {
     let rf = forest(3);
@@ -67,10 +68,9 @@ fn digests_are_bit_identical_across_worker_and_shard_counts() {
 
     let mut digests = Vec::new();
     let mut reference_provenance = None;
-    for (workers, shards, clients) in [(1usize, 1usize, 1usize), (2, 4, 3), (4, 2, 5)] {
+    for (workers, clients) in [(1usize, 1usize), (2, 3), (4, 5)] {
         let engine = Arc::new(
-            ServeEngine::start(config_with_analytics(workers, shards), rf.clone(), 7)
-                .expect("start"),
+            ServeEngine::start(config_with_analytics(workers), rf.clone(), 7).expect("start"),
         );
         std::thread::scope(|scope| {
             for chunk in cases.chunks(cases.len() / clients + 1) {
@@ -100,7 +100,7 @@ fn digests_are_bit_identical_across_worker_and_shard_counts() {
 /// same probe twice counts two vectors.
 #[test]
 fn cache_hits_still_fold() {
-    let engine = ServeEngine::start(config_with_analytics(1, 2), forest(5), 7).expect("start");
+    let engine = ServeEngine::start(config_with_analytics(1), forest(5), 7).expect("start");
     let x = probes(1).remove(0);
     engine.explain(&x).expect("miss");
     engine.explain(&x).expect("hit");
@@ -116,7 +116,7 @@ fn cache_hits_still_fold() {
 /// artifact.
 #[test]
 fn hot_swap_freezes_old_epoch_and_starts_empty() {
-    let engine = ServeEngine::start(config_with_analytics(1, 2), forest(3), 7).expect("start");
+    let engine = ServeEngine::start(config_with_analytics(1), forest(3), 7).expect("start");
     let cases = probes(12);
     for x in &cases {
         engine.explain(x).expect("explain");
@@ -198,7 +198,7 @@ fn interactions_served_and_aggregated() {
 #[test]
 fn invalid_analytics_config_is_rejected_at_start() {
     let bad = ServeConfig {
-        analytics: Some(AnalyticsConfig { shards: 0, ..Default::default() }),
+        analytics: Some(AnalyticsConfig { accuracy_bits: 0, ..Default::default() }),
         ..Default::default()
     };
     assert!(ServeEngine::start(bad, forest(3), 7).is_err());
@@ -208,7 +208,7 @@ fn invalid_analytics_config_is_rejected_at_start() {
 /// started with and a non-zero artifact CRC.
 #[test]
 fn provenance_is_stamped() {
-    let engine = ServeEngine::start(config_with_analytics(1, 1), forest(3), 99).expect("start");
+    let engine = ServeEngine::start(config_with_analytics(1), forest(3), 99).expect("start");
     engine.explain(&probes(1)[0]).expect("explain");
     let snapshot = engine.analytics_snapshot().expect("mounted");
     assert_eq!(snapshot.provenance.schema_fingerprint, 99);

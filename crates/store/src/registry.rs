@@ -39,7 +39,8 @@ pub const BLOB_DIR: &str = "blobs";
 pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// FNV-1a 64-bit content hash — names blobs and detects silent content
-/// drift independently of the CRC32 inside the container.
+/// drift independently of the CRC32 inside the container. The gateway's
+/// hash ring and request keys use it too.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

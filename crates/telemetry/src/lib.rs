@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 //! Lightweight workspace telemetry: RAII spans and relaxed-atomic counters,
 //! exported as a JSON summary (per-span count/total/p50/p99) or as Chrome
-//! trace-event format loadable in `chrome://tracing` / Perfetto.
+//! trace-event format loadable in `chrome://tracing` / Perfetto, plus the
+//! workspace's one quantile structure, the deterministic mergeable
+//! [`QuantileSketch`] ([`sketch`]).
 //!
 //! Design constraints, in order:
 //!
@@ -42,6 +44,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use serde::Serialize;
+
+pub mod sketch;
+
+pub use sketch::{BucketEntry, QuantileSketch, SketchParams};
 
 /// Global on/off switch. Off by default; every recording call checks this
 /// first and bails with a single relaxed load when telemetry is disabled.
@@ -269,9 +275,10 @@ pub struct SpanStats {
     pub total_ms: f64,
     /// Mean duration, microseconds.
     pub mean_us: f64,
-    /// Median duration, microseconds.
+    /// Median duration, microseconds, from a [`QuantileSketch`] of the
+    /// durations (within 2^-7 of the rank-⌈n/2⌉ duration).
     pub p50_us: f64,
-    /// 99th-percentile duration (nearest-rank), microseconds.
+    /// 99th-percentile duration, microseconds, from the same sketch.
     pub p99_us: f64,
 }
 
@@ -286,15 +293,6 @@ pub struct TelemetrySummary {
     /// Spans discarded after a thread's buffer hit its cap (the stats
     /// above cover only the retained prefix of such threads).
     pub dropped_spans: u64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (`q` in `[0, 1]`).
-fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted_ns.len() - 1) as f64).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)] as f64
 }
 
 impl TelemetryHub {
@@ -326,21 +324,22 @@ impl TelemetryHub {
     /// Builds the JSON-ready summary: per-span count/total/mean/p50/p99 and
     /// final counter values.
     pub fn summary(&self) -> TelemetrySummary {
-        let mut durations: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+        let mut durations: BTreeMap<&'static str, (u64, QuantileSketch)> = BTreeMap::new();
         for (_, record) in self.collect() {
-            durations.entry(record.name).or_default().push(record.dur_ns);
+            let (total, ns) = durations.entry(record.name).or_default();
+            *total += record.dur_ns;
+            ns.insert(record.dur_ns as f64);
         }
         let spans = durations
             .into_iter()
-            .map(|(name, mut ns)| {
-                ns.sort_unstable();
-                let total: u64 = ns.iter().sum();
+            .map(|(name, (total, ns))| {
+                let quantile_us = |q| ns.quantile(q).unwrap_or(0.0) / 1e3;
                 let stats = SpanStats {
-                    count: ns.len() as u64,
+                    count: ns.count(),
                     total_ms: total as f64 / 1e6,
-                    mean_us: total as f64 / 1e3 / ns.len() as f64,
-                    p50_us: percentile(&ns, 0.50) / 1e3,
-                    p99_us: percentile(&ns, 0.99) / 1e3,
+                    mean_us: total as f64 / 1e3 / ns.count() as f64,
+                    p50_us: quantile_us(0.50),
+                    p99_us: quantile_us(0.99),
                 };
                 (name.to_string(), stats)
             })

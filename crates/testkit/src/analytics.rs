@@ -26,8 +26,9 @@
 //! well under 1.0). The interaction identity is exact
 //! mathematics executed in float, held to `1e-8`.
 
-use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance, QuantileSketch, SketchParams};
+use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, Provenance};
 use drcshap_shap::{explain_forest, forest_shap_interactions, summarize};
+use drcshap_telemetry::{QuantileSketch, SketchParams};
 use rand::seq::SliceRandom;
 
 use crate::scenario::{self, SizeLevel};

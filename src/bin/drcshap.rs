@@ -232,26 +232,39 @@ fn spec_arg(args: &[String], position: usize) -> Result<DesignSpec, DrcshapError
     let name = args
         .get(position)
         .ok_or_else(|| DrcshapError::usage("missing design name (try `drcshap list`)"))?;
+    design_spec(name)
+}
+
+/// The suite design called `name`; an unknown name is a usage error.
+fn design_spec(name: &str) -> Result<DesignSpec, DrcshapError> {
     suite::spec(name)
         .ok_or_else(|| DrcshapError::usage(format!("unknown design {name:?} (try `drcshap list`)")))
 }
 
-/// Streams rows through the model under the strict `Reject` policy,
-/// keeping only `O(top_k)` state: the top-scored rows (ranked by score
-/// descending, index ascending on ties) and an incremental CRC32 digest of
-/// the exact score bit patterns — two runs print the same digest iff every
-/// score is bit-identical. Memory stays bounded no matter how many rows
-/// stream through.
+/// Streams rows through the model under the strict `Reject` policy and
+/// ranks the scores with [`rank_scores`].
 fn stream_scores<'a>(
     model: &dyn Classifier,
     rows: impl Iterator<Item = &'a [f32]>,
     top_k: usize,
 ) -> Result<(Vec<(usize, f64)>, String), DrcshapError> {
+    rank_scores(rows.map(|row| model.score_checked(row, NanPolicy::Reject)), top_k)
+}
+
+/// Ranks a stream of row scores keeping only `O(top_k)` state: the
+/// top-scored rows (ranked by score descending, index ascending on ties)
+/// and an incremental CRC32 digest of the exact score bit patterns — two
+/// runs print the same digest iff every score is bit-identical. Memory
+/// stays bounded no matter how many rows stream through.
+fn rank_scores(
+    scores: impl Iterator<Item = Result<f64, DrcshapError>>,
+    top_k: usize,
+) -> Result<(Vec<(usize, f64)>, String), DrcshapError> {
     let mut digest = Crc32::new();
     let mut top: Vec<(usize, f64)> = Vec::with_capacity(top_k + 1);
     let mut n = 0usize;
-    for (i, row) in rows.enumerate() {
-        let s = model.score_checked(row, NanPolicy::Reject)?;
+    for (i, s) in scores.enumerate() {
+        let s = s?;
         digest.update(&s.to_bits().to_le_bytes());
         n += 1;
         if top_k == 0 {
@@ -265,6 +278,15 @@ fn stream_scores<'a>(
     }
     top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     Ok((top, format!("crc32 {:#010x} over {n} scores", digest.finalize())))
+}
+
+/// Prints a design's top predicted hotspots and its score digest.
+fn print_hotspots(spec: &DesignSpec, ranked: &[(usize, f64)], digest: &str) {
+    println!("top predicted hotspots for {}:", spec.name);
+    for (i, s) in ranked {
+        println!("  g-cell {i:>6}  p = {s:.4}");
+    }
+    println!("score digest: {digest}");
 }
 
 /// All rows of a feature matrix, in g-cell order.
@@ -505,9 +527,7 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
     let rows: Vec<(usize, Vec<f32>)> = match (&cases_path, &design) {
         (Some(path), None) => read_case_rows(path, forest.n_features())?,
         (None, Some(name)) => {
-            let spec = suite::spec(name).ok_or_else(|| {
-                DrcshapError::usage(format!("unknown design {name:?} (try `drcshap list`)"))
-            })?;
+            let spec = design_spec(name)?;
             let config = PipelineConfig { scale, ..Default::default() };
             eprintln!("building {} at scale {}...", spec.name, config.scale);
             let bundle = try_build_design(&spec, &config)?;
@@ -693,27 +713,24 @@ fn cmd_analytics(args: &[String]) -> Result<(), DrcshapError> {
         (Some(path), true) => {
             let model = load_model(path, &schema)?;
             eprintln!("loaded {} model from {path}", model.kind());
-            let rows: Vec<(usize, Vec<f32>)> = match (&cases_path, &design) {
-                (Some(cases), None) => read_case_rows(cases, names.len())?,
-                (None, Some(name)) => {
-                    let spec = suite::spec(name).ok_or_else(|| {
-                        DrcshapError::usage(format!("unknown design {name:?} (try `drcshap list`)"))
-                    })?;
-                    let config = PipelineConfig { scale, ..Default::default() };
-                    eprintln!("building {} at scale {}...", spec.name, config.scale);
-                    let bundle = try_build_design(&spec, &config)?;
-                    matrix_rows(&bundle.features)
-                        .enumerate()
-                        .map(|(i, r)| (i, r.to_vec()))
-                        .collect()
-                }
-                _ => {
-                    return Err(DrcshapError::usage(
+            let rows: Vec<(usize, Vec<f32>)> =
+                match (&cases_path, &design) {
+                    (Some(cases), None) => read_case_rows(cases, names.len())?,
+                    (None, Some(name)) => {
+                        let spec = design_spec(name)?;
+                        let config = PipelineConfig { scale, ..Default::default() };
+                        eprintln!("building {} at scale {}...", spec.name, config.scale);
+                        let bundle = try_build_design(&spec, &config)?;
+                        matrix_rows(&bundle.features)
+                            .enumerate()
+                            .map(|(i, r)| (i, r.to_vec()))
+                            .collect()
+                    }
+                    _ => return Err(DrcshapError::usage(
                         "analytics --model needs exactly one case source: --cases <file.jsonl> \
                          or --design <name>",
-                    ))
-                }
-            };
+                    )),
+                };
             let rows = match limit {
                 0 => rows,
                 n => rows.into_iter().take(n).collect(),
@@ -971,9 +988,7 @@ fn cmd_run(args: &[String]) -> Result<(), DrcshapError> {
     let deadline = parse_deadline(&mut args)?;
     let specs = match take_value(&mut args, "--design")? {
         None => suite::all_specs(),
-        Some(name) => vec![suite::spec(&name).ok_or_else(|| {
-            DrcshapError::usage(format!("unknown design {name:?} (try `drcshap list`)"))
-        })?],
+        Some(name) => vec![design_spec(&name)?],
     };
     let dir = args
         .first()
@@ -1028,11 +1043,7 @@ fn cmd_predict(args: &[String]) -> Result<(), DrcshapError> {
     eprintln!("building {} at scale {}...", spec.name, config.scale);
     let bundle = try_build_design(&spec, &config)?;
     let (ranked, digest) = stream_scores(model.as_classifier(), matrix_rows(&bundle.features), 10)?;
-    println!("top predicted hotspots for {}:", spec.name);
-    for (i, s) in &ranked {
-        println!("  g-cell {i:>6}  p = {s:.4}");
-    }
-    println!("score digest: {digest}");
+    print_hotspots(&spec, &ranked, &digest);
     Ok(())
 }
 
@@ -1073,23 +1084,29 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
-    let mut args = args.to_vec();
-    let nan_aware = take_switch(&mut args, "--nan-aware");
-    let design = take_value(&mut args, "--design")?;
-    let scale: f64 = parse_flag(&mut args, "--scale", 0.25)?;
+/// The engine flags `drcshap serve` and `drcshap gateway` share:
+/// `--nan-aware`, `--wait-ms`, `--batch`, `--queue` and `--workers`.
+fn serve_config(args: &mut Vec<String>) -> Result<ServeConfig, DrcshapError> {
+    let nan_aware = take_switch(args, "--nan-aware");
     let defaults = ServeConfig::default();
-    let wait_ms: f64 = parse_flag(&mut args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
+    let wait_ms: f64 = parse_flag(args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
     let max_wait = duration(wait_ms, 1e3)
         .ok_or_else(|| DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")))?;
-    let config = ServeConfig {
-        max_batch: parse_flag(&mut args, "--batch", defaults.max_batch)?,
+    Ok(ServeConfig {
+        max_batch: parse_flag(args, "--batch", defaults.max_batch)?,
         max_wait,
-        queue_capacity: parse_flag(&mut args, "--queue", defaults.queue_capacity)?,
-        workers: parse_flag(&mut args, "--workers", defaults.workers)?,
+        queue_capacity: parse_flag(args, "--queue", defaults.queue_capacity)?,
+        workers: parse_flag(args, "--workers", defaults.workers)?,
         nan_policy: if nan_aware { NanPolicy::NanAware } else { NanPolicy::Reject },
         ..defaults
-    };
+    })
+}
+
+fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
+    let mut args = args.to_vec();
+    let design = take_value(&mut args, "--design")?;
+    let scale: f64 = parse_flag(&mut args, "--scale", 0.25)?;
+    let config = serve_config(&mut args)?;
     let path = args.first().cloned().ok_or_else(|| DrcshapError::usage("missing model path"))?;
     if args.len() > 1 {
         return Err(DrcshapError::usage(format!("unexpected argument {:?}", args[1])));
@@ -1102,12 +1119,7 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let window = config.queue_capacity;
     let engine = ServeEngine::start_saved(config, model, schema.fingerprint())?;
     match design {
-        Some(name) => {
-            let spec = suite::spec(&name).ok_or_else(|| {
-                DrcshapError::usage(format!("unknown design {name:?} (try `drcshap list`)"))
-            })?;
-            serve_design(&engine, &spec, scale, window)?;
-        }
+        Some(name) => serve_design(&engine, &design_spec(&name)?, scale, window)?,
         None => serve_jsonl(&engine, window)?,
     }
     if stats {
@@ -1123,21 +1135,9 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
 /// connection with `--listen`.
 fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
     let mut args = args.to_vec();
-    let nan_aware = take_switch(&mut args, "--nan-aware");
     let listen = take_value(&mut args, "--listen")?;
     let max_conns: u64 = parse_flag(&mut args, "--max-conns", 0)?;
-    let defaults = ServeConfig::default();
-    let wait_ms: f64 = parse_flag(&mut args, "--wait-ms", defaults.max_wait.as_secs_f64() * 1e3)?;
-    let max_wait = duration(wait_ms, 1e3)
-        .ok_or_else(|| DrcshapError::usage(format!("bad value {wait_ms} for --wait-ms")))?;
-    let serve = ServeConfig {
-        max_batch: parse_flag(&mut args, "--batch", defaults.max_batch)?,
-        max_wait,
-        queue_capacity: parse_flag(&mut args, "--queue", defaults.queue_capacity)?,
-        workers: parse_flag(&mut args, "--workers", defaults.workers)?,
-        nan_policy: if nan_aware { NanPolicy::NanAware } else { NanPolicy::Reject },
-        ..defaults
-    };
+    let serve = serve_config(&mut args)?;
     let gateway_defaults = GatewayConfig::default();
     let deadline_ms: f64 = parse_flag(&mut args, "--deadline-ms", 0.0)?;
     let hedge_ms: f64 = parse_flag(&mut args, "--hedge-ms", 0.0)?;
@@ -1465,13 +1465,6 @@ fn cmd_testkit(args: &[String]) -> Result<(), DrcshapError> {
     }
 }
 
-/// Waits out the oldest in-flight ticket, returning its row index and score.
-fn resolve(window: &mut VecDeque<(usize, Ticket)>) -> Result<(usize, f64), DrcshapError> {
-    let (index, ticket) = window.pop_front().expect("resolve called on empty window");
-    let response = ticket.wait()?;
-    Ok((index, response.score))
-}
-
 /// Scores a built design through the serve engine, printing the same
 /// top-10 ranking and score digest as `drcshap predict` — the scores are
 /// bit-identical by construction, so the digests must match.
@@ -1484,36 +1477,22 @@ fn serve_design(
     let config = PipelineConfig { scale, ..Default::default() };
     eprintln!("building {} at scale {}...", spec.name, config.scale);
     let bundle = try_build_design(spec, &config)?;
-    let mut digest = Crc32::new();
-    let mut top: Vec<(usize, f64)> = Vec::new();
-    let mut n = 0usize;
-    let mut window: VecDeque<(usize, Ticket)> = VecDeque::new();
-    let mut take = |window: &mut VecDeque<(usize, Ticket)>| -> Result<(), DrcshapError> {
-        let (i, s) = resolve(window)?;
-        digest.update(&s.to_bits().to_le_bytes());
-        n += 1;
-        top.push((i, s));
-        if top.len() > 10 {
-            top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            top.truncate(10);
+    // A sliding window of at most `window_cap` in-flight tickets keeps
+    // batches full; the scores come back in row order.
+    let mut rows = matrix_rows(&bundle.features);
+    let mut window: VecDeque<Ticket> = VecDeque::new();
+    let scores = std::iter::from_fn(|| {
+        while window.len() < window_cap {
+            let Some(row) = rows.next() else { break };
+            match engine.submit(row.to_vec()) {
+                Ok(ticket) => window.push_back(ticket),
+                Err(e) => return Some(Err(e)),
+            }
         }
-        Ok(())
-    };
-    for i in 0..bundle.features.n_samples() {
-        if window.len() == window_cap {
-            take(&mut window)?;
-        }
-        window.push_back((i, engine.submit(bundle.features.row(i).to_vec())?));
-    }
-    while !window.is_empty() {
-        take(&mut window)?;
-    }
-    top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    println!("top predicted hotspots for {}:", spec.name);
-    for (i, s) in &top {
-        println!("  g-cell {i:>6}  p = {s:.4}");
-    }
-    println!("score digest: crc32 {:#010x} over {n} scores", digest.finalize());
+        window.pop_front().map(|ticket| ticket.wait().map(|response| response.score))
+    });
+    let (ranked, digest) = rank_scores(scores, 10)?;
+    print_hotspots(spec, &ranked, &digest);
     Ok(())
 }
 

@@ -9,8 +9,8 @@ use drcshap::core::artifact::{
 use drcshap::core::faults::{
     run_artifact_faults, run_vector_faults, ArtifactFault, StageFault, StageFaultKind, VectorFault,
 };
-use drcshap::core::pipeline::{try_build_suite, DesignBundle, PipelineConfig};
-use drcshap::core::supervisor::{run_supervised, Stage, SuiteReport, SupervisorConfig};
+use drcshap::core::pipeline::{try_build_suite, DesignBundle, PipelineConfig, Stage};
+use drcshap::core::supervisor::{run_supervised, SuiteReport, SupervisorConfig};
 use drcshap::features::FeatureSchema;
 use drcshap::forest::{RandomForest, RandomForestTrainer};
 use drcshap::geom::CancelToken;
