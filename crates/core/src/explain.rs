@@ -9,7 +9,7 @@
 //! tracks short of the load").
 
 use drcshap_features::{CongestionQuantity, FeatureDesc, FeatureSchema, PlacementQuantity};
-use drcshap_forest::{RandomForest, RandomForestTrainer};
+use drcshap_forest::{CompiledForest, RandomForest, RandomForestTrainer};
 use drcshap_geom::GcellId;
 use drcshap_ml::{Dataset, Trainer};
 use drcshap_route::MetalLayer;
@@ -135,6 +135,9 @@ impl TriageReport {
 /// A trained RF plus everything needed to explain individual g-cells.
 pub struct Explainer {
     forest: RandomForest,
+    /// The forest's batch scorer, bit-identical to
+    /// [`RandomForest::predict_proba`].
+    compiled: CompiledForest,
     schema: FeatureSchema,
 }
 
@@ -145,13 +148,13 @@ impl Explainer {
         for b in bundles {
             train.append(&b.to_dataset());
         }
-        let forest = trainer.fit(&train, seed);
-        Self { forest, schema: FeatureSchema::paper_387() }
+        Self::from_forest(trainer.fit(&train, seed))
     }
 
     /// Wraps an already-trained forest.
     pub fn from_forest(forest: RandomForest) -> Self {
-        Self { forest, schema: FeatureSchema::paper_387() }
+        let compiled = CompiledForest::compile(&forest);
+        Self { forest, compiled, schema: FeatureSchema::paper_387() }
     }
 
     /// The underlying forest.
@@ -162,6 +165,12 @@ impl Explainer {
     /// The feature schema used for naming.
     pub fn schema(&self) -> &FeatureSchema {
         &self.schema
+    }
+
+    /// The forest's hotspot probability for one feature row, through the
+    /// compiled forest: bit-identical to [`RandomForest::predict_proba`].
+    pub(crate) fn score(&self, row: &[f32]) -> f64 {
+        self.compiled.score_one(row)
     }
 
     /// Explains the g-cell at sample `index` of `bundle`.
@@ -237,7 +246,7 @@ impl Explainer {
         // Rank all true hotspots by predicted probability.
         let mut ranked: Vec<(usize, f64)> = (0..bundle.features.n_samples())
             .filter(|&i| bundle.report.labels[i])
-            .map(|i| (i, self.forest.predict_proba(bundle.features.row(i))))
+            .map(|i| (i, self.score(bundle.features.row(i))))
             .collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 
@@ -271,7 +280,7 @@ impl Explainer {
     /// the design-level view a routability-fix loop starts from.
     pub fn triage(&self, bundle: &DesignBundle, threshold: f64, max_cases: usize) -> TriageReport {
         let mut predicted: Vec<(usize, f64)> = (0..bundle.features.n_samples())
-            .map(|i| (i, self.forest.predict_proba(bundle.features.row(i))))
+            .map(|i| (i, self.score(bundle.features.row(i))))
             .filter(|&(_, p)| p >= threshold)
             .collect();
         predicted.sort_by(|a, b| b.1.total_cmp(&a.1));

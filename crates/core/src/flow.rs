@@ -78,7 +78,7 @@ fn predicted_hotspots(
     threshold: f64,
 ) -> Vec<(usize, f64)> {
     let mut hits: Vec<(usize, f64)> = (0..bundle.features.n_samples())
-        .map(|i| (i, explainer.forest().predict_proba(bundle.features.row(i))))
+        .map(|i| (i, explainer.score(bundle.features.row(i))))
         .filter(|&(_, p)| p >= threshold)
         .collect();
     hits.sort_by(|a, b| b.1.total_cmp(&a.1));

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::compiled::CompiledForest;
 use crate::ranks::RankStore;
 use crate::tree::{DecisionTree, TreeTrainer};
 
@@ -187,6 +188,15 @@ impl RandomForest {
 impl Classifier for RandomForest {
     fn score(&self, x: &[f32]) -> f64 {
         self.predict_proba(x)
+    }
+
+    /// Compiles the forest once, then scores each row through
+    /// [`CompiledForest::score_one`], which bit-equals
+    /// [`RandomForest::predict_proba`]. Rows go one by one, so a dataset
+    /// wider than the forest's feature count scores as the default would.
+    fn score_dataset(&self, data: &Dataset) -> Vec<f64> {
+        let compiled = CompiledForest::compile(self);
+        (0..data.n_samples()).map(|i| compiled.score_one(data.row(i))).collect()
     }
 
     fn complexity(&self) -> ModelComplexity {

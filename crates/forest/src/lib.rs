@@ -7,6 +7,12 @@
 //! which the SHAP tree explainer (`drcshap-shap`) consumes to compute exact
 //! Shapley values in polynomial time.
 //!
+//! [`CompiledForest`] is the batch scorer: a forest flattened into one
+//! packed node array, with scores bit-identical to
+//! [`RandomForest::predict_proba`]. The RF's `Classifier::score_dataset`,
+//! the explanation service's triage and the serve engine all score
+//! through it.
+//!
 //! # Example
 //!
 //! ```
@@ -21,12 +27,14 @@
 //! assert!(rf.score(&[1.0, 0.5]) > rf.score(&[0.0, 0.5]));
 //! ```
 
+mod compiled;
 mod forest;
 mod importance;
 mod ranks;
 mod rusboost;
 mod tree;
 
+pub use compiled::CompiledForest;
 pub use forest::{MaxFeatures, RandomForest, RandomForestTrainer};
 pub use importance::OobReport;
 pub use rusboost::{RusBoost, RusBoostTrainer};

@@ -9,6 +9,7 @@
 //! downstream pipeline, from a conventionally placed netlist.
 
 use drcshap_geom::{GcellId, Point, Rect};
+use drcshap_telemetry as telemetry;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -38,6 +39,7 @@ const NDR_NET_FRACTION: f64 = 0.02;
 /// Panics if the design already contains cells.
 pub fn generate_cells<R: Rng>(design: &mut Design, rng: &mut R) {
     assert_eq!(design.netlist.num_cells(), 0, "generate_cells on non-empty design");
+    let _span = telemetry::span("netlist/generate_cells");
 
     place_macros(design, rng);
     add_routing_blockages(design, rng);
@@ -128,6 +130,7 @@ pub fn generate_nets<R: Rng>(design: &mut Design, rng: &mut R) {
         design.netlist.num_cells(),
         "all cells must be placed before net synthesis"
     );
+    let _nets_span = telemetry::span("netlist/generate_nets");
 
     let buckets = bucket_cells(design);
     let stress = design.spec.stress();
@@ -138,22 +141,28 @@ pub fn generate_nets<R: Rng>(design: &mut Design, rng: &mut R) {
     let ndr2 = design.netlist.add_ndr(Ndr { width_mult: 2.0, spacing_mult: 2.0 });
     let ndr3 = design.netlist.add_ndr(Ndr { width_mult: 3.0, spacing_mult: 3.0 });
 
-    for _ in 0..num_signal {
-        let seed = CellId::from_index(rng.gen_range(0..num_cells));
-        let fanout = sample_fanout(rng);
-        let members = sample_local_cells(design, &buckets, seed, fanout, stress, rng);
-        if members.len() < 2 {
-            continue;
+    {
+        let _span = telemetry::span("netlist/signal_nets");
+        for _ in 0..num_signal {
+            let seed = CellId::from_index(rng.gen_range(0..num_cells));
+            let fanout = sample_fanout(rng);
+            let members = sample_local_cells(design, &buckets, seed, fanout, stress, rng);
+            if members.len() < 2 {
+                continue;
+            }
+            let ndr = if rng.gen_bool(NDR_NET_FRACTION) {
+                Some(if rng.gen_bool(0.7) { ndr2 } else { ndr3 })
+            } else {
+                None
+            };
+            add_cell_net(design, &members, NetKind::Signal, ndr, rng);
         }
-        let ndr = if rng.gen_bool(NDR_NET_FRACTION) {
-            Some(if rng.gen_bool(0.7) { ndr2 } else { ndr3 })
-        } else {
-            None
-        };
-        add_cell_net(design, &members, NetKind::Signal, ndr, rng);
     }
-
-    generate_clock_nets(design, &buckets, rng);
+    {
+        let _span = telemetry::span("netlist/clock_nets");
+        generate_clock_nets(design, &buckets, rng);
+    }
+    let _span = telemetry::span("netlist/macro_nets");
     generate_macro_nets(design, &buckets, rng);
 }
 

@@ -127,23 +127,32 @@ impl CongestionMap {
         }
     }
 
-    /// Capacity of layer `m` across the border between `a` and `b`; zero when
-    /// the border is not in `m`'s preferred direction (no wires of that layer
-    /// cross it).
+    /// Capacity and load of layer `m` across the border between `a` and
+    /// `b`, read through one edge lookup; both zero when the border is not
+    /// in `m`'s preferred direction (no wires of that layer cross it).
+    #[inline]
+    pub fn edge_capacity_load(&self, m: MetalLayer, a: GcellId, b: GcellId) -> (f64, f64) {
+        self.edge_index(m.direction(), a, b)
+            .map_or((0.0, 0.0), |i| (self.edge_cap[m.index()][i], self.edge_load[m.index()][i]))
+    }
+
+    /// Capacity of layer `m` across the border between `a` and `b` (see
+    /// [`CongestionMap::edge_capacity_load`] for direction handling).
     pub fn edge_capacity(&self, m: MetalLayer, a: GcellId, b: GcellId) -> f64 {
-        self.edge_index(m.direction(), a, b).map_or(0.0, |i| self.edge_cap[m.index()][i])
+        self.edge_capacity_load(m, a, b).0
     }
 
     /// Load of layer `m` across the border between `a` and `b` (see
-    /// [`CongestionMap::edge_capacity`] for direction handling).
+    /// [`CongestionMap::edge_capacity_load`] for direction handling).
     pub fn edge_load(&self, m: MetalLayer, a: GcellId, b: GcellId) -> f64 {
-        self.edge_index(m.direction(), a, b).map_or(0.0, |i| self.edge_load[m.index()][i])
+        self.edge_capacity_load(m, a, b).1
     }
 
     /// Resource margin `capacity − load` for layer `m` on the border between
     /// `a` and `b` — negative when overflowed.
     pub fn edge_margin(&self, m: MetalLayer, a: GcellId, b: GcellId) -> f64 {
-        self.edge_capacity(m, a, b) - self.edge_load(m, a, b)
+        let (capacity, load) = self.edge_capacity_load(m, a, b);
+        capacity - load
     }
 
     /// Adds `demand` wire tracks of layer `m` across the border `a`–`b`.

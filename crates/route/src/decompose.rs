@@ -2,8 +2,8 @@
 //! granularity, via Prim's minimum spanning tree under Manhattan distance —
 //! the standard first step of pattern-based global routing.
 
-use drcshap_geom::GcellId;
-use drcshap_netlist::{Design, NetId};
+use drcshap_geom::{GcellId, Point};
+use drcshap_netlist::{Design, Net, NetId, PinId};
 use serde::{Deserialize, Serialize};
 
 /// A two-pin connection produced by net decomposition: route from g-cell `a`
@@ -37,55 +37,121 @@ impl TwoPinConn {
 /// Panics if any pin of the net is unplaced.
 pub fn decompose_net(design: &Design, net: NetId) -> Vec<TwoPinConn> {
     let n = design.netlist.net(net);
-    let demand = n.ndr.map_or(1.0, |ndr| design.netlist.ndr(ndr).track_demand());
+    let mut conns = Vec::new();
+    MstBuffers::default().decompose(
+        net,
+        net_demand(design, n),
+        n.pins.iter().map(|&pin| pin_cell(design, pin).clamped),
+        &mut conns,
+    );
+    conns
+}
 
-    // Distinct g-cells touched by the net's pins.
-    let mut gcells: Vec<GcellId> = Vec::with_capacity(n.pins.len());
-    for &pin in &n.pins {
-        let pos = design.pin_position(pin).expect("net decomposition requires placed pins");
-        // Clamp boundary pins (e.g. macro pins on the die edge) onto the die.
-        let clamped = drcshap_geom::Point::new(
-            pos.x.clamp(design.die.lo.x, design.die.hi.x - 1),
-            pos.y.clamp(design.die.lo.y, design.die.hi.y - 1),
-        );
-        let g = design.grid.cell_containing(clamped).expect("clamped pin is on-die");
-        if !gcells.contains(&g) {
-            gcells.push(g);
+/// Track demand per crossed edge of `net`: 1.0, or its NDR's demand.
+pub(crate) fn net_demand(design: &Design, net: &Net) -> f64 {
+    net.ndr.map_or(1.0, |ndr| design.netlist.ndr(ndr).track_demand())
+}
+
+/// A pin's g-cells, looked up once per route.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PinCell {
+    /// The g-cell of the pin's position clamped onto the die (boundary
+    /// pins, e.g. macro pins on the die edge); `None` while unplaced, or
+    /// if the grid does not cover the clamped position.
+    pub(crate) clamped: Option<GcellId>,
+    /// The g-cell of the position itself; `None` while unplaced or off-die.
+    pub(crate) on_die: Option<GcellId>,
+}
+
+/// The g-cells of `pin`.
+fn pin_cell(design: &Design, pin: PinId) -> PinCell {
+    let Some(pos) = design.pin_position(pin) else {
+        return PinCell { clamped: None, on_die: None };
+    };
+    let clamped = Point::new(
+        pos.x.clamp(design.die.lo.x, design.die.hi.x - 1),
+        pos.y.clamp(design.die.lo.y, design.die.hi.y - 1),
+    );
+    let g = design.grid.cell_containing(clamped);
+    PinCell {
+        clamped: g,
+        on_die: if clamped == pos { g } else { design.grid.cell_containing(pos) },
+    }
+}
+
+/// Every pin's g-cells, indexed by pin.
+pub(crate) fn pin_cells(design: &Design) -> Vec<PinCell> {
+    design.netlist.pins().map(|(pin, _)| pin_cell(design, pin)).collect()
+}
+
+/// Buffers for decomposing net after net without allocating per net.
+#[derive(Debug, Default)]
+pub(crate) struct MstBuffers {
+    gcells: Vec<GcellId>,
+    in_tree: Vec<bool>,
+    /// `(distance, parent)` per g-cell.
+    best: Vec<(u32, usize)>,
+}
+
+impl MstBuffers {
+    /// Appends to `conns` the edges of Prim's minimum spanning tree over
+    /// the distinct g-cells among `cells`, in first-seen order, and returns
+    /// how many it appended: none for a local net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell is `None` (see [`PinCell::clamped`]).
+    pub(crate) fn decompose(
+        &mut self,
+        net: NetId,
+        demand: f64,
+        cells: impl IntoIterator<Item = Option<GcellId>>,
+        conns: &mut Vec<TwoPinConn>,
+    ) -> usize {
+        let gcells = &mut self.gcells;
+        gcells.clear();
+        for g in cells {
+            let g = g.expect("net decomposition requires pins placed inside the grid");
+            if !gcells.contains(&g) {
+                gcells.push(g);
+            }
         }
-    }
-    if gcells.len() < 2 {
-        return Vec::new();
-    }
+        let n_cells = gcells.len();
+        if n_cells < 2 {
+            return 0;
+        }
 
-    // Prim's MST over the distinct g-cells.
-    let dist = |a: GcellId, b: GcellId| a.x.abs_diff(b.x) + a.y.abs_diff(b.y);
-    let n_cells = gcells.len();
-    let mut in_tree = vec![false; n_cells];
-    let mut best = vec![(u32::MAX, 0usize); n_cells]; // (distance, parent)
-    in_tree[0] = true;
-    for (i, &g) in gcells.iter().enumerate().skip(1) {
-        best[i] = (dist(gcells[0], g), 0);
-    }
-    let mut conns = Vec::with_capacity(n_cells - 1);
-    for _ in 1..n_cells {
-        let (next, &(_, parent)) = best
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !in_tree[*i])
-            .min_by_key(|(_, (d, _))| *d)
-            .expect("at least one vertex outside the tree");
-        in_tree[next] = true;
-        conns.push(TwoPinConn { net, a: gcells[parent], b: gcells[next], demand });
-        for (i, &g) in gcells.iter().enumerate() {
-            if !in_tree[i] {
-                let d = dist(gcells[next], g);
-                if d < best[i].0 {
-                    best[i] = (d, next);
+        // Prim's MST over the distinct g-cells.
+        let dist = |a: GcellId, b: GcellId| a.x.abs_diff(b.x) + a.y.abs_diff(b.y);
+        let (in_tree, best) = (&mut self.in_tree, &mut self.best);
+        in_tree.clear();
+        in_tree.resize(n_cells, false);
+        best.clear();
+        best.resize(n_cells, (u32::MAX, 0));
+        in_tree[0] = true;
+        for (i, &g) in gcells.iter().enumerate().skip(1) {
+            best[i] = (dist(gcells[0], g), 0);
+        }
+        for _ in 1..n_cells {
+            let (next, &(_, parent)) = best
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !in_tree[*i])
+                .min_by_key(|(_, (d, _))| *d)
+                .expect("at least one vertex outside the tree");
+            in_tree[next] = true;
+            conns.push(TwoPinConn { net, a: gcells[parent], b: gcells[next], demand });
+            for (i, &g) in gcells.iter().enumerate() {
+                if !in_tree[i] {
+                    let d = dist(gcells[next], g);
+                    if d < best[i].0 {
+                        best[i] = (d, next);
+                    }
                 }
             }
         }
+        n_cells - 1
     }
-    conns
 }
 
 #[cfg(test)]

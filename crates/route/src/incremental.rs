@@ -16,7 +16,7 @@ use rand::Rng;
 
 use crate::config::RouteConfig;
 use crate::congestion::CongestionMap;
-use crate::decompose::TwoPinConn;
+use crate::decompose::{net_demand, pin_cells, TwoPinConn};
 use crate::outcome::RouteOutcome;
 use crate::router::{finalize_routing, PlanarState};
 
@@ -76,9 +76,6 @@ pub fn reroute_around_budgeted<R: Rng>(
     let target_set: std::collections::HashSet<GcellId> = targets.iter().copied().collect();
 
     // Reconstruct planar connections (endpoints + demand) from prior paths.
-    let demand_of = |net: drcshap_netlist::NetId| {
-        design.netlist.net(net).ndr.map(|id| design.netlist.ndr(id).track_demand()).unwrap_or(1.0)
-    };
     let conns: Vec<TwoPinConn> = prior
         .conns
         .iter()
@@ -86,7 +83,7 @@ pub fn reroute_around_budgeted<R: Rng>(
             net: c.net,
             a: *c.path.first().expect("non-empty prior path"),
             b: *c.path.last().expect("non-empty prior path"),
-            demand: demand_of(c.net),
+            demand: net_demand(design, design.netlist.net(c.net)),
         })
         .collect();
     let mut paths: Vec<Vec<GcellId>> = prior.conns.iter().map(|c| c.path.clone()).collect();
@@ -130,7 +127,7 @@ pub fn reroute_around_budgeted<R: Rng>(
             skipped += 1;
             continue;
         }
-        let mut path = planar.route_patterns(&conns[i], rng);
+        let mut path = planar.route_patterns(&conns[i], rng).0;
         // Pattern routes may still cross a target; fall back to the maze,
         // which sees the target penalty.
         if path[1..path.len().saturating_sub(1)].iter().any(|g| target_set.contains(g)) {
@@ -144,8 +141,9 @@ pub fn reroute_around_budgeted<R: Rng>(
 
     let rerouted = victims.len() - skipped;
     let deadline = deadline_hit.then_some(skipped);
+    let pins = pin_cells(design);
     let outcome =
-        finalize_routing(design, capacities, &conns, paths, prior.local_nets, rng, deadline);
+        finalize_routing(design, &pins, capacities, &conns, paths, prior.local_nets, rng, deadline);
     Ok((outcome, rerouted))
 }
 

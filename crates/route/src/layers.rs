@@ -139,11 +139,11 @@ impl ViaLayer {
         }
     }
 
-    /// The via layers crossed when moving between metal layers `a` and `b`
-    /// (empty when `a == b`).
-    pub fn between(a: MetalLayer, b: MetalLayer) -> Vec<ViaLayer> {
+    /// The via layers crossed when moving between metal layers `a` and `b`,
+    /// bottom-up (none when `a == b`).
+    pub fn between(a: MetalLayer, b: MetalLayer) -> impl Iterator<Item = ViaLayer> {
         let (lo, hi) = if a.index() <= b.index() { (a, b) } else { (b, a) };
-        (lo.index()..hi.index()).map(ViaLayer::from_index).collect()
+        ALL_VIAS[lo.index()..hi.index()].iter().copied()
     }
 }
 
@@ -185,15 +185,13 @@ mod tests {
 
     #[test]
     fn vias_between_layers() {
-        assert!(ViaLayer::between(MetalLayer::M3, MetalLayer::M3).is_empty());
-        assert_eq!(
-            ViaLayer::between(MetalLayer::M1, MetalLayer::M3),
-            vec![ViaLayer::V1, ViaLayer::V2]
-        );
+        let between = |a, b| ViaLayer::between(a, b).collect::<Vec<_>>();
+        assert!(between(MetalLayer::M3, MetalLayer::M3).is_empty());
+        assert_eq!(between(MetalLayer::M1, MetalLayer::M3), [ViaLayer::V1, ViaLayer::V2]);
         // Order-insensitive.
         assert_eq!(
-            ViaLayer::between(MetalLayer::M5, MetalLayer::M2),
-            vec![ViaLayer::V2, ViaLayer::V3, ViaLayer::V4]
+            between(MetalLayer::M5, MetalLayer::M2),
+            [ViaLayer::V2, ViaLayer::V3, ViaLayer::V4]
         );
     }
 

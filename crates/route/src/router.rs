@@ -13,16 +13,17 @@ use std::collections::BinaryHeap;
 
 use drcshap_geom::budget::{BudgetState, Interrupted, StageBudget};
 use drcshap_geom::GcellId;
-use drcshap_netlist::Design;
+use drcshap_netlist::{Design, Net};
 use drcshap_telemetry as telemetry;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::config::RouteConfig;
+use crate::config::{NetOrder, RouteConfig};
 use crate::congestion::{CongestionMap, EdgeDir};
-use crate::decompose::TwoPinConn;
+use crate::decompose::{net_demand, pin_cells, MstBuffers, PinCell, TwoPinConn};
 use crate::layers::{MetalLayer, ViaLayer, ALL_METALS};
 use crate::outcome::{DegradeReason, RouteOutcome, RouteStatus, RoutedConn, Segment};
+use crate::steiner::{decompose_net_with, Decomposition};
 
 /// Globally routes `design` and returns the congestion map, routed
 /// connections and summary statistics.
@@ -72,41 +73,63 @@ pub fn route_design_budgeted<R: Rng>(
     budget: &StageBudget,
 ) -> Result<RouteOutcome, Interrupted> {
     let _route_span = telemetry::span("route/design");
-    let congestion = CongestionMap::with_capacities(design, config);
-    let (nx, ny) = design.grid.dims();
-    let mut planar = PlanarState::from_congestion(&congestion, nx, ny, config);
+    let (congestion, mut planar) = {
+        let _capacities_span = telemetry::span("route/capacities");
+        let congestion = CongestionMap::with_capacities(design, config);
+        let (nx, ny) = design.grid.dims();
+        let planar = PlanarState::from_congestion(&congestion, nx, ny, config);
+        (congestion, planar)
+    };
 
     // Decompose all nets. Decomposition is required for connectivity, so
     // only cancellation (not the deadline) interrupts it.
     let mut conns: Vec<TwoPinConn> = Vec::new();
     let mut local_nets = 0usize;
-    let mut pacer = budget.pacer(256);
-    for (net_id, _) in design.netlist.nets() {
-        if pacer.tick(budget) == BudgetState::Cancelled {
-            return Err(Interrupted);
+    let pins = {
+        let _decompose_span = telemetry::span("route/decompose");
+        let pins = pin_cells(design);
+        let mut mst = MstBuffers::default();
+        let mut pacer = budget.pacer(256);
+        for (net_id, net) in design.netlist.nets() {
+            if pacer.tick(budget) == BudgetState::Cancelled {
+                return Err(Interrupted);
+            }
+            let added = match config.decomposition {
+                Decomposition::Mst => mst.decompose(
+                    net_id,
+                    net_demand(design, net),
+                    net.pins.iter().map(|&pin| pins[pin.index()].clamped),
+                    &mut conns,
+                ),
+                Decomposition::Steiner => {
+                    let cs = decompose_net_with(design, net_id, Decomposition::Steiner);
+                    let added = cs.len();
+                    conns.extend(cs);
+                    added
+                }
+            };
+            if added == 0 {
+                local_nets += 1;
+            }
         }
-        let cs = crate::steiner::decompose_net_with(design, net_id, config.decomposition);
-        if cs.is_empty() {
-            local_nets += 1;
-        }
-        conns.extend(cs);
-    }
+        pins
+    };
 
     // Initial pass, in the configured connection order.
-    let mut order: Vec<usize> = (0..conns.len()).collect();
-    match config.net_order {
-        crate::config::NetOrder::ShortFirst => order.sort_by_key(|&i| conns[i].manhattan_len()),
-        crate::config::NetOrder::LongFirst => {
-            order.sort_by_key(|&i| std::cmp::Reverse(conns[i].manhattan_len()))
-        }
-        crate::config::NetOrder::Random => order.shuffle(rng),
-    }
     let mut paths: Vec<Vec<GcellId>> = vec![Vec::new(); conns.len()];
     let mut deadline_hit = false;
     let mut fallback_routes = 0usize;
     {
         let _pass_span =
             telemetry::span_with("route/initial_pass", || format!("{} conns", conns.len()));
+        let mut order: Vec<usize> = (0..conns.len()).collect();
+        match config.net_order {
+            NetOrder::ShortFirst => order.sort_by_key(|&i| conns[i].manhattan_len()),
+            NetOrder::LongFirst => {
+                order.sort_by_key(|&i| std::cmp::Reverse(conns[i].manhattan_len()))
+            }
+            NetOrder::Random => order.shuffle(rng),
+        }
         let mut pacer = budget.pacer(64);
         for &i in &order {
             if !deadline_hit {
@@ -120,7 +143,7 @@ pub fn route_design_budgeted<R: Rng>(
                 fallback_routes += 1;
                 fallback_pattern(&conns[i])
             } else {
-                planar.route_patterns(&conns[i], rng)
+                planar.route_patterns(&conns[i], rng).0
             };
             planar.commit(&path, conns[i].demand, 1.0);
             paths[i] = path;
@@ -165,13 +188,11 @@ pub fn route_design_budgeted<R: Rng>(
                 BudgetState::Within => {}
             }
             planar.commit(&paths[i], conns[i].demand, -1.0);
-            let mut path = planar.route_patterns(&conns[i], rng);
+            let (mut path, cost) = planar.route_patterns(&conns[i], rng);
             if last_round && planar.path_would_overflow(&path, conns[i].demand) {
                 telemetry::counter("route/maze_attempts", 1);
                 if let Some(maze) = planar.route_maze(&conns[i], budget) {
-                    if planar.path_cost(&maze, conns[i].demand)
-                        < planar.path_cost(&path, conns[i].demand)
-                    {
+                    if planar.path_cost(&maze, conns[i].demand) < cost {
                         path = maze;
                         telemetry::counter("route/maze_accepted", 1);
                     }
@@ -184,13 +205,13 @@ pub fn route_design_budgeted<R: Rng>(
 
     telemetry::counter("route/fallback_patterns", fallback_routes as u64);
     let deadline = deadline_hit.then_some(fallback_routes);
-    Ok(finalize_routing(design, congestion, &conns, paths, local_nets, rng, deadline))
+    Ok(finalize_routing(design, &pins, congestion, &conns, paths, local_nets, rng, deadline))
 }
 
 /// Layer-assigns planar paths, inserts via demand (bends, pin access, local
 /// nets) and assembles the final [`RouteOutcome`]. Shared by the full router
-/// and the incremental rerouter; `congestion` must carry capacities but no
-/// wire loads yet.
+/// and the incremental rerouter; `pins` is [`pin_cells`] of `design`, and
+/// `congestion` must carry capacities but no wire loads yet.
 ///
 /// `deadline_fallbacks` is `Some(n)` when the caller's wall-clock budget
 /// expired after handing `n` connections an uncosted fallback pattern; the
@@ -198,8 +219,10 @@ pub fn route_design_budgeted<R: Rng>(
 /// connection the assignment loop fails to produce (structurally impossible
 /// today, but formerly an `expect` panic) is given a fallback pattern route
 /// here and counted as degraded instead of aborting the run.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn finalize_routing<R: Rng>(
     design: &Design,
+    pins: &[PinCell],
     mut congestion: CongestionMap,
     conns: &[TwoPinConn],
     mut paths: Vec<Vec<GcellId>>,
@@ -251,26 +274,12 @@ pub(crate) fn finalize_routing<R: Rng>(
 
     // Pin-access via demand: every pin consumes a V1 cut in its g-cell;
     // local nets additionally consume a V2 cut for the intra-cell jog.
-    for (pin_id, _) in design.netlist.pins() {
-        if let Some(pos) = design.pin_position(pin_id) {
-            let clamped = drcshap_geom::Point::new(
-                pos.x.clamp(design.die.lo.x, design.die.hi.x - 1),
-                pos.y.clamp(design.die.lo.y, design.die.hi.y - 1),
-            );
-            if let Some(g) = design.grid.cell_containing(clamped) {
-                congestion.add_via_load(ViaLayer::V1, g, 1.0);
-            }
-        }
+    for g in pins.iter().filter_map(|pin| pin.clamped) {
+        congestion.add_via_load(ViaLayer::V1, g, 1.0);
     }
-    for (net_id, net) in design.netlist.nets() {
-        if decompose_is_local(design, net_id) {
-            if let Some(&pin) = net.pins.first() {
-                if let Some(pos) = design.pin_position(pin) {
-                    if let Some(g) = design.grid.cell_containing(pos) {
-                        congestion.add_via_load(ViaLayer::V2, g, 1.0);
-                    }
-                }
-            }
+    for (_, net) in design.netlist.nets() {
+        if let Some(g) = local_gcell(net, pins) {
+            congestion.add_via_load(ViaLayer::V2, g, 1.0);
         }
     }
 
@@ -289,22 +298,15 @@ pub(crate) fn finalize_routing<R: Rng>(
     }
 }
 
-fn decompose_is_local(design: &Design, net: drcshap_netlist::NetId) -> bool {
-    let n = design.netlist.net(net);
-    if n.pins.len() < 2 {
-        return false;
+/// The one g-cell every pin of a net of at least two pins sits in, judged
+/// on unclamped positions (a pin off the die makes the net non-local);
+/// `None` when the net is not local.
+fn local_gcell(net: &Net, pins: &[PinCell]) -> Option<GcellId> {
+    if net.pins.len() < 2 {
+        return None;
     }
-    let mut first: Option<GcellId> = None;
-    for &pin in &n.pins {
-        let Some(pos) = design.pin_position(pin) else { return false };
-        let Some(g) = design.grid.cell_containing(pos) else { return false };
-        match first {
-            None => first = Some(g),
-            Some(f) if f != g => return false,
-            _ => {}
-        }
-    }
-    true
+    let first = pins[net.pins[0].index()].on_die?;
+    net.pins.iter().all(|&pin| pins[pin.index()].on_die == Some(first)).then_some(first)
 }
 
 /// Planar (direction-combined) routing state: capacity, load and history per
@@ -476,33 +478,61 @@ impl PlanarState {
         }
     }
 
-    /// Best of the straight/L/Z pattern candidates for `conn`.
-    pub(crate) fn route_patterns<R: Rng>(&self, conn: &TwoPinConn, rng: &mut R) -> Vec<GcellId> {
+    /// Cost of the cell-by-cell path through `corners`: the edge costs
+    /// summed in path order, bit-identical to
+    /// `path_cost(&expand(corners), demand)` without building the path.
+    fn corners_cost(&self, corners: &[GcellId], demand: f64) -> f64 {
+        CellSteps::new(corners)
+            .map(|(a, b)| {
+                let (h, i) = self.edge_between(a, b);
+                self.edge_cost(h, i, demand)
+            })
+            .sum()
+    }
+
+    /// Best of the straight/L/Z pattern candidates for `conn`, and its
+    /// [`PlanarState::path_cost`].
+    ///
+    /// Candidates go in a fixed order (L x-first, L y-first, Z at a random
+    /// column, Z at a random row), each costed once from its corners; the
+    /// first of equal minima under `total_cmp` wins, as `Iterator::min_by`
+    /// picks, and only the winner is expanded.
+    pub(crate) fn route_patterns<R: Rng>(
+        &self,
+        conn: &TwoPinConn,
+        rng: &mut R,
+    ) -> (Vec<GcellId>, f64) {
         let (a, b) = (conn.a, conn.b);
-        let mut candidates: Vec<Vec<GcellId>> = Vec::with_capacity(6);
-        if a.x == b.x || a.y == b.y {
-            candidates.push(expand(&[a, b]));
-        } else {
-            candidates.push(expand(&[a, GcellId::new(b.x, a.y), b]));
-            candidates.push(expand(&[a, GcellId::new(a.x, b.y), b]));
+        // Corner lists padded to four by repeating the sink: a zero-length
+        // leg adds no cell and no edge.
+        let mut candidates = [[a, b, b, b]; 4];
+        let mut n = 1;
+        if a.x != b.x && a.y != b.y {
+            candidates[0] = [a, GcellId::new(b.x, a.y), b, b];
+            candidates[1] = [a, GcellId::new(a.x, b.y), b, b];
+            n = 2;
             // Z patterns with random intermediate splits.
             let (xlo, xhi) = (a.x.min(b.x), a.x.max(b.x));
             let (ylo, yhi) = (a.y.min(b.y), a.y.max(b.y));
             if xhi - xlo > 1 {
                 let mx = rng.gen_range(xlo + 1..xhi);
-                candidates.push(expand(&[a, GcellId::new(mx, a.y), GcellId::new(mx, b.y), b]));
+                candidates[n] = [a, GcellId::new(mx, a.y), GcellId::new(mx, b.y), b];
+                n += 1;
             }
             if yhi - ylo > 1 {
                 let my = rng.gen_range(ylo + 1..yhi);
-                candidates.push(expand(&[a, GcellId::new(a.x, my), GcellId::new(b.x, my), b]));
+                candidates[n] = [a, GcellId::new(a.x, my), GcellId::new(b.x, my), b];
+                n += 1;
             }
         }
-        candidates
-            .into_iter()
-            .min_by(|p, q| {
-                self.path_cost(p, conn.demand).total_cmp(&self.path_cost(q, conn.demand))
-            })
-            .expect("at least one pattern candidate")
+        let mut best = (0, self.corners_cost(&candidates[0], conn.demand));
+        for (k, corners) in candidates.iter().enumerate().take(n).skip(1) {
+            let cost = self.corners_cost(corners, conn.demand);
+            if cost.total_cmp(&best.1).is_lt() {
+                best = (k, cost);
+            }
+        }
+        (expand(&candidates[best.0]), best.1)
     }
 
     /// A* maze route on the planar grid; `None` on pathological inputs or
@@ -591,20 +621,58 @@ impl PlanarState {
 ///
 /// Panics if consecutive corners are not axis-aligned.
 fn expand(corners: &[GcellId]) -> Vec<GcellId> {
-    let mut path = vec![corners[0]];
-    for w in corners.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        assert!(a.x == b.x || a.y == b.y, "corners {a}-{b} not axis-aligned");
-        let mut cur = a;
-        while cur != b {
-            cur = GcellId::new(
-                (cur.x as i64 + (b.x as i64 - cur.x as i64).signum()) as u32,
-                (cur.y as i64 + (b.y as i64 - cur.y as i64).signum()) as u32,
-            );
-            path.push(cur);
+    let steps: u32 =
+        corners.windows(2).map(|w| w[0].x.abs_diff(w[1].x) + w[0].y.abs_diff(w[1].y)).sum();
+    let mut path = Vec::with_capacity(steps as usize + 1);
+    path.push(corners[0]);
+    path.extend(CellSteps::new(corners).map(|(_, to)| to));
+    path
+}
+
+/// The unit steps `(from, to)` of the cell-by-cell path through an
+/// axis-aligned corner sequence, in path order: the windows of
+/// [`expand`]'s path, without building it.
+///
+/// # Panics
+///
+/// Panics, when it reaches them, if consecutive corners are not
+/// axis-aligned.
+struct CellSteps<'a> {
+    corners: &'a [GcellId],
+    /// Index of the corner the walk is heading for.
+    leg: usize,
+    cur: GcellId,
+}
+
+impl<'a> CellSteps<'a> {
+    fn new(corners: &'a [GcellId]) -> Self {
+        Self { corners, leg: 0, cur: corners[0] }
+    }
+}
+
+impl Iterator for CellSteps<'_> {
+    type Item = (GcellId, GcellId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(GcellId, GcellId)> {
+        loop {
+            let &to = self.corners.get(self.leg)?;
+            if self.cur != to {
+                let from = self.cur;
+                let toward = |c: u32, t: u32| match c.cmp(&t) {
+                    std::cmp::Ordering::Less => c + 1,
+                    std::cmp::Ordering::Equal => c,
+                    std::cmp::Ordering::Greater => c - 1,
+                };
+                self.cur = GcellId::new(toward(from.x, to.x), toward(from.y, to.y));
+                return Some((from, self.cur));
+            }
+            self.leg += 1;
+            if let Some(&next) = self.corners.get(self.leg) {
+                assert!(to.x == next.x || to.y == next.y, "corners {to}-{next} not axis-aligned");
+            }
         }
     }
-    path
 }
 
 /// Splits `path` into maximal straight runs and assigns each to the
@@ -615,51 +683,52 @@ fn assign_layers<R: Rng>(
     congestion: &mut CongestionMap,
     rng: &mut R,
 ) -> Vec<Segment> {
-    if path.len() < 2 {
-        return Vec::new();
-    }
-    // Straight runs as (start_index, end_index) inclusive.
-    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut segments = Vec::new();
     let mut start = 0usize;
-    for i in 1..path.len() - 1 {
-        let dir_in = path[i].x != path[i - 1].x;
-        let dir_out = path[i + 1].x != path[i].x;
-        if dir_in != dir_out {
-            runs.push((start, i));
+    for i in 1..path.len() {
+        // A run ends at a bend or at the path's end.
+        let bend =
+            i + 1 < path.len() && (path[i].x != path[i - 1].x) != (path[i + 1].x != path[i].x);
+        if bend || i + 1 == path.len() {
+            segments.push(assign_run(&path[start..=i], demand, congestion, rng));
             start = i;
         }
     }
-    runs.push((start, path.len() - 1));
-
-    let mut segments = Vec::with_capacity(runs.len());
-    for (s, e) in runs {
-        let horizontal = path[s].y == path[e].y && path[s].x != path[e].x;
-        let dir = if horizontal { EdgeDir::Horizontal } else { EdgeDir::Vertical };
-        let layers: Vec<MetalLayer> =
-            ALL_METALS.iter().copied().filter(|m| m.direction() == dir).collect();
-        let len = (e - s) as f64;
-        let mut best: Option<(f64, MetalLayer)> = None;
-        for layer in layers {
-            let mut acc = 0.0;
-            for i in s..e {
-                let cap = congestion.edge_capacity(layer, path[i], path[i + 1]).max(0.5);
-                let load = congestion.edge_load(layer, path[i], path[i + 1]);
-                acc += (load + demand) / cap;
-            }
-            // Short runs prefer low metals; jitter breaks ties.
-            let score =
-                acc / len + layer.index() as f64 * (0.6 / (len + 1.0)) + rng.gen_range(0.0..0.01);
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, layer));
-            }
-        }
-        let layer = best.expect("direction always has compatible layers").1;
-        for i in s..e {
-            congestion.add_edge_load(layer, path[i], path[i + 1], demand);
-        }
-        segments.push(Segment { layer, from: path[s], to: path[e] });
-    }
     segments
+}
+
+/// Assigns one straight run of at least two cells to the cheapest layer of
+/// its direction, drawing one tie-breaking jitter per candidate layer in
+/// M1→M5 order, and commits its wire load.
+fn assign_run<R: Rng>(
+    run: &[GcellId],
+    demand: f64,
+    congestion: &mut CongestionMap,
+    rng: &mut R,
+) -> Segment {
+    let (from, to) = (run[0], run[run.len() - 1]);
+    let horizontal = from.y == to.y && from.x != to.x;
+    let dir = if horizontal { EdgeDir::Horizontal } else { EdgeDir::Vertical };
+    let len = (run.len() - 1) as f64;
+    let mut best: Option<(f64, MetalLayer)> = None;
+    for layer in ALL_METALS.into_iter().filter(|m| m.direction() == dir) {
+        let mut acc = 0.0;
+        for w in run.windows(2) {
+            let (cap, load) = congestion.edge_capacity_load(layer, w[0], w[1]);
+            acc += (load + demand) / cap.max(0.5);
+        }
+        // Short runs prefer low metals; jitter breaks ties.
+        let score =
+            acc / len + layer.index() as f64 * (0.6 / (len + 1.0)) + rng.gen_range(0.0..0.01);
+        if best.is_none_or(|(b, _)| score < b) {
+            best = Some((score, layer));
+        }
+    }
+    let layer = best.expect("direction always has compatible layers").1;
+    for w in run.windows(2) {
+        congestion.add_edge_load(layer, w[0], w[1], demand);
+    }
+    Segment { layer, from, to }
 }
 
 /// Inserts via demand at segment endpoints and bends.
@@ -950,6 +1019,128 @@ mod tests {
         let budget = StageBudget::unlimited().cancelled_by(token);
         let res = route_design_budgeted(&d, &RouteConfig::default(), &mut rng, &budget);
         assert_eq!(res.err(), Some(Interrupted));
+    }
+
+    /// The pattern router as it was before candidates were costed from
+    /// their corners: every candidate expanded, `path_cost` on both sides
+    /// of every `min_by` comparison.
+    fn route_patterns_reference<R: Rng>(
+        planar: &PlanarState,
+        conn: &TwoPinConn,
+        rng: &mut R,
+    ) -> Vec<GcellId> {
+        fn expand_reference(corners: &[GcellId]) -> Vec<GcellId> {
+            let mut path = vec![corners[0]];
+            for w in corners.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                let mut cur = a;
+                while cur != b {
+                    cur = GcellId::new(
+                        (cur.x as i64 + (b.x as i64 - cur.x as i64).signum()) as u32,
+                        (cur.y as i64 + (b.y as i64 - cur.y as i64).signum()) as u32,
+                    );
+                    path.push(cur);
+                }
+            }
+            path
+        }
+        let (a, b) = (conn.a, conn.b);
+        let mut candidates: Vec<Vec<GcellId>> = Vec::with_capacity(6);
+        if a.x == b.x || a.y == b.y {
+            candidates.push(expand_reference(&[a, b]));
+        } else {
+            candidates.push(expand_reference(&[a, GcellId::new(b.x, a.y), b]));
+            candidates.push(expand_reference(&[a, GcellId::new(a.x, b.y), b]));
+            let (xlo, xhi) = (a.x.min(b.x), a.x.max(b.x));
+            let (ylo, yhi) = (a.y.min(b.y), a.y.max(b.y));
+            if xhi - xlo > 1 {
+                let mx = rng.gen_range(xlo + 1..xhi);
+                candidates.push(expand_reference(&[
+                    a,
+                    GcellId::new(mx, a.y),
+                    GcellId::new(mx, b.y),
+                    b,
+                ]));
+            }
+            if yhi - ylo > 1 {
+                let my = rng.gen_range(ylo + 1..yhi);
+                candidates.push(expand_reference(&[
+                    a,
+                    GcellId::new(a.x, my),
+                    GcellId::new(b.x, my),
+                    b,
+                ]));
+            }
+        }
+        candidates
+            .into_iter()
+            .min_by(|p, q| {
+                planar.path_cost(p, conn.demand).total_cmp(&planar.path_cost(q, conn.demand))
+            })
+            .expect("at least one pattern candidate")
+    }
+
+    proptest::proptest! {
+        /// Costing candidates from their corners picks the same path, with
+        /// the same RNG draws, as expanding and costing every candidate;
+        /// the returned cost is the winner's `path_cost`, bit for bit.
+        /// Small integer loads, capacities and history make ties common.
+        #[test]
+        fn prop_route_patterns_matches_reference(
+            seed in proptest::any::<u64>(),
+            nx in 2u32..14,
+            ny in 2u32..14,
+            shape in 0u32..4,
+            demand in 1u32..4,
+        ) {
+            let mut gen = ChaCha8Rng::seed_from_u64(seed);
+            let map = CongestionMap::zeros(nx, ny);
+            let mut planar = PlanarState::from_congestion(&map, nx, ny, &RouteConfig::default());
+            let residue = gen.gen_bool(0.3);
+            let draw = |gen: &mut ChaCha8Rng, hi: u32| {
+                let v = gen.gen_range(0..hi) as f64;
+                if residue { v + gen.gen_range(0.0..1e-9) } else { v }
+            };
+            for v in planar.h_cap.iter_mut().chain(planar.v_cap.iter_mut()) {
+                *v = draw(&mut gen, 6);
+            }
+            for v in planar.h_load.iter_mut().chain(planar.v_load.iter_mut()) {
+                *v = draw(&mut gen, 8);
+            }
+            for v in planar.h_hist.iter_mut().chain(planar.v_hist.iter_mut()) {
+                *v = 1.5 * draw(&mut gen, 3);
+            }
+            let demand = demand as f64;
+            for _ in 0..16 {
+                let a = GcellId::new(gen.gen_range(0..nx), gen.gen_range(0..ny));
+                let b = match shape {
+                    // Straight along a row or column.
+                    0 if gen.gen_bool(0.5) => GcellId::new(gen.gen_range(0..nx), a.y),
+                    0 => GcellId::new(a.x, gen.gen_range(0..ny)),
+                    // Adjacent.
+                    1 if a.x + 1 < nx => GcellId::new(a.x + 1, a.y),
+                    1 => GcellId::new(a.x, (a.y + 1) % ny),
+                    // One column apart: no Z split in x.
+                    2 => GcellId::new(if a.x + 1 < nx { a.x + 1 } else { a.x - 1 }, gen.gen_range(0..ny)),
+                    _ => GcellId::new(gen.gen_range(0..nx), gen.gen_range(0..ny)),
+                };
+                if a == b {
+                    continue;
+                }
+                let conn = TwoPinConn { net: drcshap_netlist::NetId::from_index(0), a, b, demand };
+                let stream = gen.gen::<u64>();
+                let mut rng_new = ChaCha8Rng::seed_from_u64(stream);
+                let mut rng_ref = ChaCha8Rng::seed_from_u64(stream);
+                let (path, cost) = planar.route_patterns(&conn, &mut rng_new);
+                let reference = route_patterns_reference(&planar, &conn, &mut rng_ref);
+                proptest::prop_assert_eq!(&path, &reference);
+                proptest::prop_assert_eq!(
+                    cost.to_bits(),
+                    planar.path_cost(&reference, demand).to_bits()
+                );
+                proptest::prop_assert_eq!(rng_new.get_word_pos(), rng_ref.get_word_pos());
+            }
+        }
     }
 
     #[test]

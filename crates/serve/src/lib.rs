@@ -2,10 +2,11 @@
 //!
 //! This crate owns the serving hot path for DRC hotspot prediction:
 //!
-//! - [`CompiledForest`] — a Random Forest flattened into one packed
-//!   16-byte node array, built once per model, walking eight trees of a
-//!   row in lockstep, with scores bit-identical to the reference
-//!   `RandomForest::predict_proba` / `predict_proba_nan_aware`.
+//! - [`CompiledForest`] (re-exported from `drcshap-forest`) — a Random
+//!   Forest flattened into one packed 16-byte node array, built once per
+//!   model, walking eight trees of a row in lockstep, with scores
+//!   bit-identical to the reference `RandomForest::predict_proba` /
+//!   `predict_proba_nan_aware`.
 //! - [`ServeEngine`] — a bounded request queue with micro-batching
 //!   (flush at `max_batch` or `max_wait`), a worker pool, typed
 //!   backpressure ([`drcshap_ml::DrcshapError::Overloaded`]) when the
@@ -31,13 +32,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod compiled;
 pub mod engine;
 pub mod metrics;
 pub mod swap;
 
 pub use cache::{CacheStats, ExplanationCache};
-pub use compiled::CompiledForest;
+pub use drcshap_forest::CompiledForest;
 pub use engine::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
 pub use metrics::{MetricsRegistry, ServeMetrics};
 pub use swap::{EpochCell, ModelEpoch};

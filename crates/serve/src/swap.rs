@@ -11,11 +11,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use drcshap_forest::RandomForest;
+use drcshap_forest::{CompiledForest, RandomForest};
 use drcshap_ml::{DrcshapError, SchemaError};
 use drcshap_telemetry as telemetry;
-
-use crate::compiled::CompiledForest;
 
 /// One immutable generation of the serving model: the reference forest
 /// (kept for SHAP explanations), its compiled inference layout, and the

@@ -296,9 +296,9 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetryHub {
-    /// Merges every thread's buffer into one deterministically-ordered list:
-    /// by start time, then thread id, then depth (parents before children at
-    /// equal timestamps), then name.
+    /// Merges every thread's buffer into one deterministically-ordered list
+    /// (for [`TelemetryHub::chrome_trace`]): by start time, then thread id,
+    /// then depth (parents before children at equal timestamps), then name.
     fn collect(&self) -> Vec<(u64, SpanRecord)> {
         let sinks = lock_ignore_poison(&self.sinks);
         let mut merged: Vec<(u64, SpanRecord)> = Vec::new();
@@ -323,12 +323,18 @@ impl TelemetryHub {
 
     /// Builds the JSON-ready summary: per-span count/total/mean/p50/p99 and
     /// final counter values.
+    ///
+    /// Each sink's records are folded under its lock, with no copy and no
+    /// sort: a `u64` total and a [`QuantileSketch`] are the same whatever
+    /// order the durations arrive in.
     pub fn summary(&self) -> TelemetrySummary {
         let mut durations: BTreeMap<&'static str, (u64, QuantileSketch)> = BTreeMap::new();
-        for (_, record) in self.collect() {
-            let (total, ns) = durations.entry(record.name).or_default();
-            *total += record.dur_ns;
-            ns.insert(record.dur_ns as f64);
+        for sink in lock_ignore_poison(&self.sinks).iter() {
+            for record in lock_ignore_poison(&sink.spans).iter() {
+                let (total, ns) = durations.entry(record.name).or_default();
+                *total += record.dur_ns;
+                ns.insert(record.dur_ns as f64);
+            }
         }
         let spans = durations
             .into_iter()
@@ -512,6 +518,35 @@ mod tests {
         let summary = hub().summary();
         assert_eq!(summary.counters["test/par_events"], 1000);
         assert_eq!(summary.spans["test/par_span"].count, 500);
+        teardown();
+    }
+
+    #[test]
+    fn summary_folds_every_threads_spans_as_collect_sees_them() {
+        let _guard = exclusive();
+        on_four_threads(|worker| {
+            for i in 0..40 + 10 * worker {
+                let _s = span(if i % 3 == 0 { "test/fold_a" } else { "test/fold_b" });
+                if i % 5 == 0 {
+                    let _inner = span("test/fold_inner");
+                }
+            }
+        });
+        let mut expected: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for (_, record) in hub().collect() {
+            let (count, total_ns) = expected.entry(record.name).or_default();
+            *count += 1;
+            *total_ns += record.dur_ns;
+        }
+        let summary = hub().summary();
+        assert_eq!(summary.spans.len(), 3);
+        for (name, (count, total_ns)) in expected {
+            let stats = &summary.spans[name];
+            assert_eq!(stats.count, count, "{name}");
+            assert_eq!(stats.total_ms.to_bits(), (total_ns as f64 / 1e6).to_bits(), "{name}");
+        }
+        // 40 + 50 + 60 + 70 spans, a third of each thread's on `fold_a`.
+        assert_eq!(summary.spans["test/fold_a"].count, 14 + 17 + 20 + 24);
         teardown();
     }
 
