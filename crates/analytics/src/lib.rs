@@ -22,9 +22,9 @@
 //! - [`AnalyticsSnapshot`] — the provenance-stamped (artifact CRC,
 //!   schema fingerprint, model epoch, sketch params), digest-stable wire
 //!   form, with exact [`AnalyticsSnapshot::merge`] for fleet views;
-//! - [`ShardedAnalytics`] — the concurrent, hot-swap-aware front the
-//!   serve engine mounts: per-worker shards merged on read, old epochs
-//!   frozen into retained snapshots on swap (the drift window);
+//! - [`AnalyticsSink`] — the single-owner fold. The serve engine gives
+//!   each model epoch one sink and freezes it into a retained snapshot
+//!   when a hot swap retires the epoch (the drift window);
 //! - [`build_report`] — rendered summaries: top-k mean-|φ| ranking,
 //!   beeswarm bins, dependence points, interaction pairs, and top-k
 //!   drift between retained epochs.
@@ -57,7 +57,7 @@ pub use report::{
     build_report, drift_between, ranking, AnalyticsReport, BeeswarmBin, DependencePoint,
     DriftReport, FeatureReport, PairReport, QuantilePoint, RankMove, REPORT_QUANTILES,
 };
-pub use sink::{AnalyticsConfig, AnalyticsSink, ShardedAnalytics};
+pub use sink::{AnalyticsConfig, AnalyticsSink};
 pub use snapshot::{
     merge_fleet, AnalyticsSnapshot, DependenceCell, FeatureSnapshot, PairSnapshot, Provenance,
     SnapshotParams, SNAPSHOT_SCHEMA_VERSION,

@@ -8,22 +8,11 @@
 //! or a multiset-pure sketch — so folding a stream in any partition and
 //! merging yields bit-identical snapshots.
 //!
-//! [`ShardedAnalytics`] is the concurrent wrapper the serve engine
-//! mounts: eight mutex-guarded shards picked by thread-id hash (so worker
-//! threads rarely contend), each tagged with the model epoch it is
-//! collecting for. Reads lock each shard in turn and merge — exactness
-//! of the merge means the shard count is invisible in the output.
-//! On hot swap, [`ShardedAnalytics::rotate`] freezes the old epoch into
-//! a retained snapshot and resets every shard for the new epoch; a fold
-//! that races the swap (its epoch tag no longer matches the shard's) is
-//! dropped and counted in `stale_folds` rather than blended across
-//! models.
+//! The serve engine gives each model epoch one sink behind a mutex; a hot
+//! swap retires the old epoch's sink whole into a frozen snapshot, so no
+//! fold is ever blended across models.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
 use drcshap_ml::DrcshapError;
 use drcshap_shap::interactions::InteractionValues;
@@ -34,12 +23,6 @@ use crate::snapshot::{
     AnalyticsSnapshot, DependenceCell, FeatureSnapshot, PairSnapshot, Provenance, SnapshotParams,
     SNAPSHOT_SCHEMA_VERSION,
 };
-
-/// Concurrent shards in [`ShardedAnalytics`].
-const SHARDS: usize = 8;
-
-/// Old-epoch snapshots [`ShardedAnalytics`] retains after hot swaps.
-const RETAINED_EPOCHS: usize = 4;
 
 /// Analytics knobs. `Default` is the served configuration: ε ≈ 0.78%
 /// sketches, quarter-octave dependence bins, interactions off.
@@ -358,153 +341,6 @@ impl AnalyticsSink {
     }
 }
 
-struct EpochShard {
-    epoch: u64,
-    sink: AnalyticsSink,
-}
-
-/// The concurrent, epoch-aware analytics front the serve engine mounts.
-pub struct ShardedAnalytics {
-    config: AnalyticsConfig,
-    shards: Vec<Mutex<EpochShard>>,
-    retained: Mutex<VecDeque<AnalyticsSnapshot>>,
-    stale_folds: AtomicU64,
-    folds: AtomicU64,
-}
-
-impl ShardedAnalytics {
-    /// Builds the sharded front, collecting for `epoch`.
-    ///
-    /// # Errors
-    ///
-    /// Usage errors from [`AnalyticsConfig::validate`].
-    pub fn new(config: AnalyticsConfig, epoch: u64) -> Result<Self, DrcshapError> {
-        config.validate()?;
-        let shards = (0..SHARDS)
-            .map(|_| Mutex::new(EpochShard { epoch, sink: AnalyticsSink::new(config.clone()) }))
-            .collect();
-        Ok(Self {
-            config,
-            shards,
-            retained: Mutex::new(VecDeque::new()),
-            stale_folds: AtomicU64::new(0),
-            folds: AtomicU64::new(0),
-        })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AnalyticsConfig {
-        &self.config
-    }
-
-    /// Total successful folds (all epochs).
-    pub fn folds(&self) -> u64 {
-        self.folds.load(Ordering::Relaxed)
-    }
-
-    /// Folds dropped because they raced a hot swap.
-    pub fn stale_folds(&self) -> u64 {
-        self.stale_folds.load(Ordering::Relaxed)
-    }
-
-    fn shard_index(&self) -> usize {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    /// Folds one explained request computed under `epoch`. Returns
-    /// `false` (and counts a stale fold) when `epoch` no longer matches
-    /// the shard — the fold raced a hot swap and is dropped rather than
-    /// blended across models.
-    ///
-    /// # Errors
-    ///
-    /// Usage errors from [`AnalyticsSink::fold`] (shape mismatch).
-    pub fn fold(
-        &self,
-        epoch: u64,
-        x: &[f32],
-        phi: &[f64],
-        interactions: Option<&InteractionValues>,
-    ) -> Result<bool, DrcshapError> {
-        let mut shard = self.shards[self.shard_index()].lock().unwrap();
-        if shard.epoch != epoch {
-            drop(shard);
-            self.stale_folds.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        }
-        shard.sink.fold(x, phi)?;
-        if let Some(iv) = interactions {
-            shard.sink.fold_interactions(iv);
-        }
-        self.folds.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
-    }
-
-    /// Merges every shard matching the current epoch into one snapshot
-    /// (shards are locked one at a time; the shard count is invisible in
-    /// the result because the merge is exact).
-    pub fn snapshot(&self, provenance: Provenance) -> AnalyticsSnapshot {
-        let mut acc = AnalyticsSink::new(self.config.clone());
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            if shard.epoch == provenance.model_epoch {
-                // Merge of same-config sinks cannot fail.
-                acc.merge(&shard.sink).expect("same-config shard merge");
-            }
-        }
-        let mut snap = acc.snapshot(provenance);
-        snap.stale_folds = self.stale_folds();
-        snap
-    }
-
-    /// Hot-swap hook: freezes the old epoch into a retained snapshot
-    /// (stamped with `old_provenance`), resets every shard empty, and
-    /// starts collecting for `new_epoch`. Returns the frozen snapshot.
-    pub fn rotate(&self, old_provenance: Provenance, new_epoch: u64) -> AnalyticsSnapshot {
-        // Lock all shards for the duration so the freeze is atomic:
-        // no fold can land in a half-rotated state.
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock().unwrap()).collect();
-        let mut acc = AnalyticsSink::new(self.config.clone());
-        for g in guards.iter() {
-            if g.epoch == old_provenance.model_epoch {
-                acc.merge(&g.sink).expect("same-config shard merge");
-            }
-        }
-        let mut frozen = acc.snapshot(old_provenance);
-        frozen.stale_folds = self.stale_folds();
-        for g in guards.iter_mut() {
-            g.epoch = new_epoch;
-            g.sink = AnalyticsSink::new(self.config.clone());
-        }
-        drop(guards);
-        let mut retained = self.retained.lock().unwrap();
-        retained.push_back(frozen.clone());
-        while retained.len() > RETAINED_EPOCHS {
-            retained.pop_front();
-        }
-        frozen
-    }
-
-    /// Retained old-epoch snapshots, oldest first (the drift window: the
-    /// last four).
-    pub fn history(&self) -> Vec<AnalyticsSnapshot> {
-        self.retained.lock().unwrap().iter().cloned().collect()
-    }
-}
-
-impl std::fmt::Debug for ShardedAnalytics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedAnalytics")
-            .field("config", &self.config)
-            .field("shards", &self.shards.len())
-            .field("folds", &self.folds())
-            .field("stale_folds", &self.stale_folds())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,53 +441,6 @@ mod tests {
         assert_eq!(snap.pairs.len(), 3);
         assert!(snap.pairs.iter().all(|p| p.i < 3 && p.j < 3 && p.i < p.j));
         assert_eq!(snap.n_interaction_folds, 1);
-    }
-
-    #[test]
-    fn sharded_fold_is_invisible_in_snapshot() {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let cases: Vec<_> = (0..300).map(|_| random_case(&mut rng, 5)).collect();
-        let mut single = AnalyticsSink::new(AnalyticsConfig::default());
-        for (x, phi) in &cases {
-            single.fold(x, phi).unwrap();
-        }
-        for threads in [1usize, 2, 7] {
-            let sharded = ShardedAnalytics::new(AnalyticsConfig::default(), 1).unwrap();
-            let sharded_ref = &sharded;
-            std::thread::scope(|scope| {
-                for chunk in cases.chunks(cases.len().div_ceil(threads)) {
-                    scope.spawn(move || {
-                        for (x, phi) in chunk {
-                            assert!(sharded_ref.fold(1, x, phi, None).unwrap());
-                        }
-                    });
-                }
-            });
-            // Each thread folds into the shard its id hashes to; the
-            // merge on read must hide how the folds were spread.
-            assert_eq!(sharded.snapshot(prov(1)).digest(), single.snapshot(prov(1)).digest());
-        }
-    }
-
-    #[test]
-    fn rotate_freezes_old_epoch_and_starts_empty() {
-        let sharded = ShardedAnalytics::new(AnalyticsConfig::default(), 1).unwrap();
-        sharded.fold(1, &[1.0, 2.0], &[0.1, -0.2], None).unwrap();
-        let frozen = sharded.rotate(prov(1), 2);
-        assert_eq!(frozen.n_vectors, 1);
-        assert_eq!(frozen.provenance.model_epoch, 1);
-        // Old-epoch folds now race-dropped.
-        assert!(!sharded.fold(1, &[1.0, 2.0], &[0.1, -0.2], None).unwrap());
-        assert_eq!(sharded.stale_folds(), 1);
-        // New epoch starts empty.
-        let now = sharded.snapshot(prov(2));
-        assert_eq!(now.n_vectors, 0);
-        // History holds the frozen snapshot, capped at RETAINED_EPOCHS.
-        assert_eq!(sharded.history(), vec![frozen]);
-        for e in 2..20u64 {
-            sharded.rotate(prov(e), e + 1);
-        }
-        assert_eq!(sharded.history().len(), RETAINED_EPOCHS);
     }
 
     /// The full sink (sketches + dependence + sums for every feature) also

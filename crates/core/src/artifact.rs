@@ -127,6 +127,22 @@ impl SavedModel {
         }
     }
 
+    /// The Random Forest this model is: the one family that serves,
+    /// through a compiled layout, SHAP and abductive explanations.
+    ///
+    /// # Errors
+    ///
+    /// A usage error naming the family found, for any other model.
+    pub fn into_forest(self) -> Result<RandomForest, DrcshapError> {
+        match self {
+            SavedModel::Rf(forest) => Ok(forest),
+            other => Err(DrcshapError::usage(format!(
+                "an RF artifact is required, found {}",
+                other.kind()
+            ))),
+        }
+    }
+
     /// The model as a [`Classifier`] for scoring (including the validated
     /// `score_checked` boundary).
     pub fn as_classifier(&self) -> &dyn Classifier {

@@ -315,13 +315,7 @@ impl Gateway {
         model: SavedModel,
         fingerprint: u64,
     ) -> Result<Self, DrcshapError> {
-        match model {
-            SavedModel::Rf(forest) => Self::start(config, forest, fingerprint),
-            other => Err(DrcshapError::usage(format!(
-                "gateway requires an RF artifact, got {}",
-                other.kind()
-            ))),
-        }
+        Self::start(config, model.into_forest()?, fingerprint)
     }
 
     /// Number of shards in the fleet.
@@ -608,22 +602,29 @@ impl Gateway {
     /// engine's input-validation errors.
     pub fn explain(&self, request: &Request) -> Result<(Arc<Explanation>, usize), DrcshapError> {
         let _span = telemetry::span("gateway/explain");
-        let tenant = request.tenant.as_deref().unwrap_or("default");
-        let key = request.key.unwrap_or_else(|| derive_key(tenant, &request.x));
-        let order = self.ring.route(key);
-        let now_ns = self.now_ns();
-        let shard = order
-            .iter()
-            .copied()
-            .find(|&s| self.shards[s].health.available(now_ns))
-            .ok_or(DrcshapError::Overloaded { capacity: order.len() })?;
+        let shard = self.explain_shard(request)?;
         let explanation = self.shards[shard].engine.explain(&request.x)?;
         Ok((explanation, shard))
     }
 
+    /// The first available shard of `request`'s ring order: the one that
+    /// explains it.
+    fn explain_shard(&self, request: &Request) -> Result<usize, DrcshapError> {
+        let tenant = request.tenant.as_deref().unwrap_or("default");
+        let key = request.key.unwrap_or_else(|| derive_key(tenant, &request.x));
+        let order = self.ring.route(key);
+        let now_ns = self.now_ns();
+        order
+            .iter()
+            .copied()
+            .find(|&s| self.shards[s].health.available(now_ns))
+            .ok_or(DrcshapError::Overloaded { capacity: order.len() })
+    }
+
     /// Serves *both* explanation views of one request: SHAP attributions
     /// plus a SAT-based abductive explanation, computed on the same shard
-    /// so the two views describe the same model epoch.
+    /// from one loaded epoch ([`ServeEngine::explain_both`]), so the two
+    /// views describe the same model even across a hot swap.
     ///
     /// The abductive side runs under `budget` (tightened to the request's
     /// deadline when one is set). If the budget runs out the response
@@ -645,22 +646,13 @@ impl Gateway {
         budget: &XsatBudget,
     ) -> Result<BothExplanations, DrcshapError> {
         let _span = telemetry::span("gateway/explain_both");
-        let tenant = request.tenant.as_deref().unwrap_or("default");
-        let key = request.key.unwrap_or_else(|| derive_key(tenant, &request.x));
-        let order = self.ring.route(key);
-        let now_ns = self.now_ns();
-        let shard = order
-            .iter()
-            .copied()
-            .find(|&s| self.shards[s].health.available(now_ns))
-            .ok_or(DrcshapError::Overloaded { capacity: order.len() })?;
-        let engine = &self.shards[shard].engine;
-        let shap = engine.explain(&request.x)?;
+        let shard = self.explain_shard(request)?;
         let mut capped = *budget;
         if let Some(deadline) = request.deadline {
             capped.deadline = Some(capped.deadline.map_or(deadline, |d| d.min(deadline)));
         }
-        match engine.explain_abductive(&request.x, &capped) {
+        let (shap, abductive) = self.shards[shard].engine.explain_both(&request.x, &capped)?;
+        match abductive {
             Ok(abductive) => {
                 Ok(BothExplanations { shap, abductive: Some(abductive), degraded: None, shard })
             }

@@ -19,7 +19,6 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use drcshap_core::artifact::Crc32;
-use drcshap_core::SavedModel;
 use drcshap_forest::RandomForest;
 use drcshap_ml::{DrcshapError, NanPolicy};
 use drcshap_store::RegistryWatch;
@@ -151,16 +150,11 @@ impl Gateway {
         let Some(loaded) = watch.poll()? else {
             return Ok(None);
         };
-        let forest = match loaded.model {
-            SavedModel::Rf(forest) => forest,
-            other => {
-                return Err(DrcshapError::usage(format!(
-                    "registry generation {} is {}, gateway requires an RF artifact",
-                    loaded.generation,
-                    other.kind()
-                )))
-            }
-        };
+        let generation = loaded.generation;
+        let forest = loaded
+            .model
+            .into_forest()
+            .map_err(|e| DrcshapError::usage(format!("registry generation {generation}: {e}")))?;
         self.staged_rollout(forest, loaded.fingerprint).map(Some)
     }
 

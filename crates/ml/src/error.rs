@@ -338,6 +338,14 @@ pub enum PipelineError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
+    /// A supervised run ended with designs that failed or were cancelled;
+    /// the completed ones stay checkpointed for a resume.
+    Incomplete {
+        /// Designs that completed.
+        completed: usize,
+        /// Designs in the run.
+        designs: usize,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -357,6 +365,9 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::ManifestMismatch { detail } => {
                 write!(f, "run manifest mismatch: {detail}")
+            }
+            PipelineError::Incomplete { completed, designs } => {
+                write!(f, "run incomplete: {completed} of {designs} designs completed")
             }
         }
     }

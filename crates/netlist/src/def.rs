@@ -114,12 +114,14 @@ impl std::error::Error for ParseDefError {}
 /// Parses the simplified DEF dialect back into a [`Design`].
 ///
 /// The returned design reuses `spec` for suite metadata (DEF carries no
-/// group/scale information); its die is taken from the DEF `DIEAREA`.
+/// group/scale information) and for its die and g-cell grid, which the
+/// router bins every pin into; the DEF `DIEAREA` must therefore match
+/// `spec`'s die.
 ///
 /// # Errors
 ///
-/// Returns [`ParseDefError`] on any malformed line, unknown component
-/// reference, or missing section.
+/// Returns [`ParseDefError`] on any malformed line, a `DIEAREA` other than
+/// `spec`'s die, an unknown component reference, or a missing section.
 pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
     let err = |line: usize, message: &str| ParseDefError { line, message: message.to_owned() };
 
@@ -142,7 +144,10 @@ pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
             if nums.len() != 4 {
                 return Err(err(n, "DIEAREA needs four coordinates"));
             }
-            design.die = Rect::new(nums[0], nums[1], nums[2], nums[3]);
+            let die = design.die;
+            if nums != [die.lo.x, die.lo.y, die.hi.x, die.hi.y] {
+                return Err(err(n, "DIEAREA differs from the design spec's die"));
+            }
         } else if line.starts_with("COMPONENTS") {
             saw_components = true;
         } else if line.starts_with("NETS") {

@@ -13,39 +13,16 @@
 //! comparison identically). Values are shared via [`Arc`], so a hit
 //! costs one lock plus a pointer bump.
 //!
-//! The cache is only valid for one model epoch; the serving engine clears
-//! it on every hot swap (`ServeEngine::swap`).
+//! A cache is only valid for one model epoch, so each
+//! [`crate::ModelEpoch`] owns its own: a hot swap replaces it with the
+//! epoch, and an explanation computed on an epoch can only land in that
+//! epoch's cache. The engine counts hits and misses in its
+//! [`crate::MetricsRegistry`], across epochs.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use drcshap_shap::Explanation;
-
-/// Hit/miss/size counters of an [`ExplanationCache`], taken atomically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that required a fresh explanation.
-    pub misses: u64,
-    /// Entries currently resident.
-    pub len: usize,
-    /// Maximum resident entries (0 = caching disabled).
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// `hits / (hits + misses)`, or 0 when the cache has seen no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// The exact-bits cache key of a feature vector.
 type Key = Vec<u32>;
@@ -67,19 +44,14 @@ struct LruState {
 /// A bounded, thread-safe, least-recently-used explanation cache.
 pub struct ExplanationCache {
     state: Mutex<LruState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     capacity: usize,
 }
 
 impl std::fmt::Debug for ExplanationCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("ExplanationCache")
-            .field("capacity", &stats.capacity)
-            .field("len", &stats.len)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
+            .field("capacity", &self.capacity)
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -88,12 +60,7 @@ impl ExplanationCache {
     /// Creates a cache holding at most `capacity` explanations. A capacity
     /// of 0 disables caching: every lookup misses, inserts are dropped.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(LruState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity,
-        }
+        Self { state: Mutex::new(LruState::default()), capacity }
     }
 
     fn key_of(x: &[f32]) -> Key {
@@ -117,26 +84,17 @@ impl ExplanationCache {
     /// Looks up the explanation for `x`, refreshing its recency on a hit.
     pub fn get(&self, x: &[f32]) -> Option<Arc<Explanation>> {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let key = Self::key_of(x);
         let mut state = self.state.lock().expect("cache lock poisoned");
         let state = &mut *state;
-        match state.map.get_mut(&key) {
-            Some(entry) => {
-                state.order.remove(&entry.tick);
-                state.clock += 1;
-                entry.tick = state.clock;
-                state.order.insert(entry.tick, key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = state.map.get_mut(&key)?;
+        state.order.remove(&entry.tick);
+        state.clock += 1;
+        entry.tick = state.clock;
+        state.order.insert(entry.tick, key);
+        Some(entry.value.clone())
     }
 
     /// Inserts (or refreshes) the explanation for `x`, evicting the least
@@ -170,23 +128,14 @@ impl ExplanationCache {
         state.map.insert(key, Entry { value, tick });
     }
 
-    /// Drops every entry (hot-swap invalidation). Hit/miss counters are
-    /// preserved — they describe the cache's lifetime, not one epoch.
-    pub fn clear(&self) {
-        let mut state = self.state.lock().expect("cache lock poisoned");
-        state.map.clear();
-        state.order.clear();
+    /// Explanations currently resident.
+    pub fn len(&self) -> usize {
+        self.state.lock().expect("cache lock poisoned").map.len()
     }
 
-    /// A consistent snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        let len = self.state.lock().expect("cache lock poisoned").map.len();
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            len,
-            capacity: self.capacity,
-        }
+    /// Whether no explanation is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -207,9 +156,7 @@ mod tests {
         cache.insert(&x, e.clone());
         let back = cache.get(&x).expect("hit");
         assert!(Arc::ptr_eq(&back, &e));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -230,7 +177,7 @@ mod tests {
         // NaN does not collapse into zero or any real value.
         assert!(cache.get(&[1.0]).is_none());
         assert_eq!(cache.get(&[0.0]).unwrap().prediction, 1.0);
-        assert_eq!(cache.stats().len, 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -244,19 +191,7 @@ mod tests {
         assert!(cache.get(&[2.0]).is_none(), "LRU entry should be evicted");
         assert!(cache.get(&[1.0]).is_some());
         assert!(cache.get(&[3.0]).is_some());
-        assert_eq!(cache.stats().len, 2);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = ExplanationCache::new(4);
-        cache.insert(&[1.0], explanation(1.0));
-        assert!(cache.get(&[1.0]).is_some());
-        cache.clear();
-        assert!(cache.get(&[1.0]).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.len, 0);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -264,7 +199,7 @@ mod tests {
         let cache = ExplanationCache::new(0);
         cache.insert(&[1.0], explanation(1.0));
         assert!(cache.get(&[1.0]).is_none());
-        assert_eq!(cache.stats().len, 0);
+        assert!(cache.is_empty());
     }
 
     #[test]

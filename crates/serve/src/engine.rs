@@ -17,7 +17,10 @@
 //! Each worker loads the current [`crate::swap::ModelEpoch`] once per
 //! batch, so a hot swap ([`ServeEngine::swap`]) lands between batches:
 //! every response reports the single epoch that scored it, and no request
-//! is ever dropped or scored by a mix of models.
+//! is ever dropped or scored by a mix of models. Every explain path works
+//! from the one epoch it loaded, through that epoch's cache, SAT engine
+//! and analytics sink, so a late answer lands in the epoch it was computed
+//! for and never in its successor.
 //!
 //! # Shutdown
 //!
@@ -25,13 +28,14 @@
 //! every worker, and joins them after they drain the queue — every
 //! accepted request still receives its response.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use drcshap_analytics::{AnalyticsConfig, AnalyticsSnapshot, Provenance, ShardedAnalytics};
+use drcshap_analytics::{AnalyticsConfig, AnalyticsSnapshot};
 use drcshap_core::SavedModel;
 use drcshap_forest::RandomForest;
 use drcshap_geom::{BudgetState, StageBudget};
@@ -40,9 +44,11 @@ use drcshap_shap::{explain_forest, forest_shap_interactions, Explanation, Intera
 use drcshap_telemetry as telemetry;
 use drcshap_xsat::{AbductiveEngine, AbductiveExplanation, XsatBudget};
 
-use crate::cache::ExplanationCache;
 use crate::metrics::{MetricsRegistry, ServeMetrics};
 use crate::swap::{EpochCell, ModelEpoch};
+
+/// Retired epochs' analytics snapshots kept in the history.
+const RETAINED_EPOCHS: usize = 4;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +65,8 @@ pub struct ServeConfig {
     /// How non-finite feature values are treated at admission
     /// ([`NanPolicy::NanAware`] batches take the NaN-aware scoring path).
     pub nan_policy: NanPolicy,
-    /// Explanation-cache capacity (0 disables caching).
+    /// Explanation-cache capacity of each model epoch (0 disables
+    /// caching).
     pub cache_capacity: usize,
     /// Streaming explanation analytics. `None` (the default) disables the
     /// sink entirely — the explain path then pays a single branch, no
@@ -172,31 +179,10 @@ struct Shared {
     /// Signalled on submission and shutdown; workers wait on it.
     flush: Condvar,
     cell: EpochCell,
-    cache: ExplanationCache,
     metrics: MetricsRegistry,
-    /// Lazily built SAT engine for abductive explanations, tagged with the
-    /// epoch it was encoded from; rebuilt after a swap. Held by abductive
-    /// callers only — the scoring workers never touch this lock.
-    abductive: Mutex<Option<(u64, AbductiveEngine)>>,
-    /// Streaming explanation analytics (None when disabled: the explain
-    /// path then pays exactly one branch).
-    analytics: Option<AnalyticsState>,
-}
-
-/// The mounted analytics sink plus the artifact CRC of the serving model
-/// (updated on swap; part of every snapshot's provenance).
-struct AnalyticsState {
-    sharded: ShardedAnalytics,
-    artifact_crc: std::sync::atomic::AtomicU32,
-}
-
-/// CRC32 of the canonical artifact encoding of `forest` — the same bytes
-/// `core::artifact::save_model` would write, so analytics provenance
-/// matches the on-disk artifact identity.
-fn artifact_crc_of(forest: &RandomForest, fingerprint: u64) -> u32 {
-    drcshap_core::encode_model(&SavedModel::Rf(forest.clone()), fingerprint)
-        .map(|bytes| drcshap_core::artifact::crc32(&bytes))
-        .unwrap_or(0)
+    /// Retired epochs' analytics snapshots, oldest first, at most
+    /// [`RETAINED_EPOCHS`].
+    history: Mutex<VecDeque<AnalyticsSnapshot>>,
 }
 
 /// The in-process batched inference engine. Cheap to share: all methods
@@ -210,7 +196,7 @@ impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
             .field("config", &self.shared.config)
-            .field("epoch", &self.shared.cell.epoch())
+            .field("epoch", &self.shared.cell.load().epoch)
             .finish()
     }
 }
@@ -229,25 +215,14 @@ impl ServeEngine {
         fingerprint: u64,
     ) -> Result<Self, DrcshapError> {
         config.validate()?;
-        let cache_capacity = config.cache_capacity;
-        let analytics = match &config.analytics {
-            Some(cfg) => Some(AnalyticsState {
-                sharded: ShardedAnalytics::new(cfg.clone(), 1)?,
-                artifact_crc: std::sync::atomic::AtomicU32::new(artifact_crc_of(
-                    &forest,
-                    fingerprint,
-                )),
-            }),
-            None => None,
-        };
+        let cell =
+            EpochCell::new(forest, fingerprint, config.cache_capacity, config.analytics.clone());
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState::default()),
             flush: Condvar::new(),
-            cell: EpochCell::new(forest, fingerprint),
-            cache: ExplanationCache::new(cache_capacity),
+            cell,
             metrics: MetricsRegistry::default(),
-            abductive: Mutex::new(None),
-            analytics,
+            history: Mutex::new(VecDeque::new()),
             config,
         });
         let mut workers = Vec::with_capacity(shared.config.workers);
@@ -275,13 +250,7 @@ impl ServeEngine {
         model: SavedModel,
         fingerprint: u64,
     ) -> Result<Self, DrcshapError> {
-        match model {
-            SavedModel::Rf(forest) => Self::start(config, forest, fingerprint),
-            other => Err(DrcshapError::usage(format!(
-                "serve engine requires an RF artifact, got {}",
-                other.kind()
-            ))),
-        }
+        Self::start(config, model.into_forest()?, fingerprint)
     }
 
     /// The feature count of the currently serving model.
@@ -365,11 +334,17 @@ impl ServeEngine {
         self.submit(x)?.wait()
     }
 
-    /// SHAP-explains one sample, consulting the explanation cache first: a
-    /// hit returns the shared explanation without walking a single tree.
-    /// Non-finite values are rejected under [`NanPolicy::Reject`] and
-    /// zero-imputed otherwise (tree SHAP has no NaN default-direction
-    /// variant).
+    /// Admits `x` for the explainers, which have no NaN path: NaN-aware
+    /// rows are zero-imputed like [`NanPolicy::ImputeZero`] rows.
+    fn admit<'x>(&self, model: &ModelEpoch, x: &'x [f32]) -> Result<Cow<'x, [f32]>, DrcshapError> {
+        self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)
+    }
+
+    /// SHAP-explains one sample, consulting the serving epoch's
+    /// explanation cache first: a hit returns the shared explanation
+    /// without walking a single tree. Non-finite values are rejected under
+    /// [`NanPolicy::Reject`] and zero-imputed otherwise (tree SHAP has no
+    /// NaN default-direction variant).
     ///
     /// # Errors
     ///
@@ -377,45 +352,56 @@ impl ServeEngine {
     /// the reject policy.
     pub fn explain(&self, x: &[f32]) -> Result<Arc<Explanation>, DrcshapError> {
         let model = self.shared.cell.load();
-        // The explainers have no NaN path: NaN-aware rows are zero-imputed.
-        let key =
-            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
-        self.shared.metrics.explains.fetch_add(1, Ordering::Relaxed);
-        let explanation = match self.shared.cache.get(&key) {
-            Some(hit) => hit,
+        let key = self.admit(&model, x)?;
+        Ok(self.shap_on(&model, &key))
+    }
+
+    /// The SHAP explanation of an admitted row on `model`, through its
+    /// cache, folded into its analytics sink.
+    fn shap_on(&self, model: &ModelEpoch, key: &[f32]) -> Arc<Explanation> {
+        let metrics = &self.shared.metrics;
+        metrics.explains.fetch_add(1, Ordering::Relaxed);
+        let explanation = match model.cache.get(key) {
+            Some(hit) => {
+                metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                hit
+            }
             None => {
-                let fresh = Arc::new(explain_forest(&model.forest, &key));
-                self.shared.cache.insert(&key, Arc::clone(&fresh));
+                metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                let fresh = Arc::new(explain_forest(&model.forest, key));
+                model.cache.insert(key, Arc::clone(&fresh));
                 fresh
             }
         };
         // Cache hits fold too: analytics weights features by *traffic*,
-        // and a repeated request is real traffic.
-        self.fold_analytics(&model, &key, &explanation.contributions);
-        Ok(explanation)
+        // and a repeated request is real traffic. The O(m²) interaction
+        // matrix, when aggregated, is computed here on the explaining
+        // caller's thread — never on the scoring workers.
+        if model.analytics.is_some() {
+            let iv =
+                self.folds_interactions().then(|| forest_shap_interactions(&model.forest, key));
+            self.fold(model, key, &explanation.contributions, iv.as_ref());
+        }
+        explanation
     }
 
-    /// Folds one explained request into the analytics sink (single branch
-    /// and out when analytics is disabled). When interaction aggregation
-    /// is configured, the O(m²) interaction matrix is computed here, on
-    /// the explaining caller's thread — never on the scoring workers.
-    fn fold_analytics(&self, model: &ModelEpoch, x: &[f32], phi: &[f64]) {
-        let Some(state) = &self.shared.analytics else { return };
-        let interactions = if state.sharded.config().interactions {
-            Some(forest_shap_interactions(&model.forest, x))
+    /// Whether the mounted analytics aggregates interaction pairs.
+    fn folds_interactions(&self) -> bool {
+        self.shared.config.analytics.as_ref().is_some_and(|a| a.interactions)
+    }
+
+    /// Folds one explained request into `model`'s sink (a no-op when
+    /// analytics is off), counting it as folded or, when a swap already
+    /// retired the epoch, as stale.
+    fn fold(&self, model: &ModelEpoch, x: &[f32], phi: &[f64], iv: Option<&InteractionValues>) {
+        let Some(analytics) = &model.analytics else { return };
+        let metrics = &self.shared.metrics;
+        let counter = if analytics.fold(x, phi, iv) {
+            &metrics.analytics_folds
         } else {
-            None
+            &metrics.analytics_stale_folds
         };
-        // `x` was validated against this model, so the only fold outcome
-        // besides success is an epoch race (dropped + counted).
-        match state.sharded.fold(model.epoch, x, phi, interactions.as_ref()) {
-            Ok(true) => {
-                self.shared.metrics.analytics_folds.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false) | Err(_) => {
-                self.shared.metrics.analytics_stale_folds.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// SHAP interaction values for one sample (the dense symmetric matrix
@@ -433,59 +419,53 @@ impl ServeEngine {
     pub fn explain_interactions(&self, x: &[f32]) -> Result<InteractionValues, DrcshapError> {
         let _span = telemetry::span("serve/explain_interactions");
         let model = self.shared.cell.load();
-        let key =
-            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
+        let key = self.admit(&model, x)?;
         let iv = forest_shap_interactions(&model.forest, &key);
-        if let Some(state) = &self.shared.analytics {
-            if state.sharded.config().interactions {
-                let phi: Vec<f64> = (0..iv.n_features()).map(|i| iv.row(i).iter().sum()).collect();
-                match state.sharded.fold(model.epoch, &key, &phi, Some(&iv)) {
-                    Ok(true) => {
-                        self.shared.metrics.analytics_folds.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(false) | Err(_) => {
-                        self.shared.metrics.analytics_stale_folds.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        if self.folds_interactions() {
+            let phi: Vec<f64> = (0..iv.n_features()).map(|i| iv.row(i).iter().sum()).collect();
+            self.fold(&model, &key, &phi, Some(&iv));
         }
         Ok(iv)
     }
 
-    /// The analytics provenance of the given model epoch.
-    fn provenance_for(&self, state: &AnalyticsState, epoch: u64, fingerprint: u64) -> Provenance {
-        Provenance {
-            artifact_crc: state.artifact_crc.load(Ordering::Acquire),
-            schema_fingerprint: fingerprint,
-            model_epoch: epoch,
-        }
-    }
-
-    /// Snapshots the analytics sink for the currently serving epoch:
-    /// per-worker shards merged on read, provenance-stamped, digest
-    /// bit-identical for the same folded multiset regardless of worker
-    /// or shard counts. `None` when analytics is disabled.
+    /// Snapshots the serving epoch's analytics sink: provenance-stamped,
+    /// digest bit-identical for the same folded multiset regardless of
+    /// worker or client counts. `None` when analytics is disabled.
     pub fn analytics_snapshot(&self) -> Option<AnalyticsSnapshot> {
-        let state = self.shared.analytics.as_ref()?;
-        let model = self.shared.cell.load();
-        Some(state.sharded.snapshot(self.provenance_for(state, model.epoch, model.fingerprint)))
+        self.shared.config.analytics.as_ref()?;
+        let stale = self.shared.metrics.analytics_stale_folds.load(Ordering::Relaxed);
+        // An epoch loaded just before a swap retired it has no sink left;
+        // the epoch that replaced it has.
+        loop {
+            let model = self.shared.cell.load();
+            if let Some(snapshot) = model.analytics.as_ref()?.snapshot(stale) {
+                return Some(snapshot);
+            }
+        }
     }
 
     /// Retained old-epoch analytics snapshots (frozen at each hot swap),
     /// oldest first — the drift window. Empty when analytics is disabled
     /// or no swap has happened.
     pub fn analytics_history(&self) -> Vec<AnalyticsSnapshot> {
-        self.shared.analytics.as_ref().map(|s| s.sharded.history()).unwrap_or_default()
+        self.shared
+            .history
+            .lock()
+            .expect("analytics history lock poisoned")
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Computes a SAT-based abductive explanation (subset-minimal
     /// sufficient reason plus contrastive dual) for one sample, within a
-    /// per-request `budget`. The underlying CNF encoding is built lazily on
-    /// first use and cached per model epoch; a hot swap invalidates it.
+    /// per-request `budget`. The serving epoch encodes its forest into a
+    /// SAT engine on its first abductive call and keeps it, with the
+    /// clauses it learns, for the rest of the epoch.
     ///
-    /// This runs on the *caller's* thread behind its own lock — the
-    /// scoring worker pool and the batching queue are never involved, so
-    /// an expensive (or timed-out) explanation can never stall a shard.
+    /// This runs on the *caller's* thread behind the epoch's own lock —
+    /// the scoring worker pool and the batching queue are never involved,
+    /// so an expensive (or timed-out) explanation can never stall a shard.
     /// Non-finite inputs follow the same policy as [`ServeEngine::explain`]
     /// (reject or zero-impute), keeping the SHAP and abductive views of a
     /// request consistent.
@@ -502,47 +482,76 @@ impl ServeEngine {
         x: &[f32],
         budget: &XsatBudget,
     ) -> Result<AbductiveExplanation, DrcshapError> {
-        let _span = telemetry::span("serve/explain_abductive");
         let model = self.shared.cell.load();
-        let key =
-            self.shared.config.nan_policy.admit(x, Some(model.compiled.n_features()), false)?;
+        let key = self.admit(&model, x)?;
+        self.abductive_on(&model, &key, budget)
+    }
+
+    /// Both explanation views of one sample from one loaded epoch, so the
+    /// SHAP attributions and the abductive explanation describe the same
+    /// forest even across a concurrent swap. Counts as one
+    /// [`ServeEngine::explain`] plus one [`ServeEngine::explain_abductive`].
+    ///
+    /// # Errors
+    ///
+    /// The admission errors of [`ServeEngine::explain`]. The abductive
+    /// outcome, a timeout included, is the second element for the caller
+    /// to degrade on.
+    pub fn explain_both(
+        &self,
+        x: &[f32],
+        budget: &XsatBudget,
+    ) -> Result<(Arc<Explanation>, Result<AbductiveExplanation, DrcshapError>), DrcshapError> {
+        let model = self.shared.cell.load();
+        let key = self.admit(&model, x)?;
+        let shap = self.shap_on(&model, &key);
+        Ok((shap, self.abductive_on(&model, &key, budget)))
+    }
+
+    /// The abductive explanation of an admitted row on `model`, through
+    /// its SAT engine.
+    fn abductive_on(
+        &self,
+        model: &ModelEpoch,
+        key: &[f32],
+        budget: &XsatBudget,
+    ) -> Result<AbductiveExplanation, DrcshapError> {
+        let _span = telemetry::span("serve/explain_abductive");
         self.shared.metrics.abductive.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.shared.abductive.lock().expect("abductive lock poisoned");
-        match slot.as_ref() {
-            Some((epoch, _)) if *epoch == model.epoch => {}
-            _ => *slot = Some((model.epoch, AbductiveEngine::new(&model.forest)?)),
+        let mut slot = model.abductive.lock().expect("abductive lock poisoned");
+        if slot.is_none() {
+            *slot = Some(AbductiveEngine::new(&model.forest)?);
         }
-        let (_, engine) = slot.as_mut().expect("engine just ensured");
-        let result = engine.explain(&key, budget);
+        let result = slot.as_mut().expect("engine just built").explain(key, budget);
         if matches!(result, Err(DrcshapError::ExplanationTimeout { .. })) {
             self.shared.metrics.abductive_timeouts.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
 
-    /// Hot-swaps the serving model (see [`EpochCell::swap`]) and clears
-    /// the explanation cache, which is only valid within one epoch. When
-    /// analytics is mounted, the old epoch's aggregates are frozen into a
-    /// retained snapshot (stamped with the old provenance) and the sink
-    /// restarts empty for the new epoch; an explain racing the swap is
-    /// dropped from analytics and counted, never blended across models.
+    /// Hot-swaps the serving model (see [`EpochCell::swap`]): the next
+    /// epoch starts with an empty cache, no SAT engine and, when analytics
+    /// is mounted, an empty sink. The old epoch's sink is then frozen into
+    /// a retained snapshot stamped with the old provenance; an explain on
+    /// the old epoch that folds after that is dropped from analytics and
+    /// counted, never blended across models.
     ///
     /// # Errors
     ///
     /// The [`EpochCell::swap`] schema-validation errors; on error the
-    /// serving model, cache, and analytics are untouched.
+    /// serving epoch is untouched.
     pub fn swap(&self, forest: RandomForest, fingerprint: u64) -> Result<u64, DrcshapError> {
-        let new_crc = self.shared.analytics.as_ref().map(|_| artifact_crc_of(&forest, fingerprint));
-        let old = self.shared.cell.load();
-        let epoch = self.shared.cell.swap(forest, fingerprint)?;
-        self.shared.cache.clear();
+        let old = self.shared.cell.swap(forest, fingerprint)?;
         self.shared.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-        if let (Some(state), Some(new_crc)) = (&self.shared.analytics, new_crc) {
-            let old_provenance = self.provenance_for(state, old.epoch, old.fingerprint);
-            state.sharded.rotate(old_provenance, epoch);
-            state.artifact_crc.store(new_crc, Ordering::Release);
+        let stale = self.shared.metrics.analytics_stale_folds.load(Ordering::Relaxed);
+        if let Some(frozen) = old.analytics.as_ref().and_then(|a| a.retire(stale)) {
+            let mut history = self.shared.history.lock().expect("analytics history lock poisoned");
+            history.push_back(frozen);
+            if history.len() > RETAINED_EPOCHS {
+                history.pop_front();
+            }
         }
-        Ok(epoch)
+        Ok(old.epoch + 1)
     }
 
     /// [`ServeEngine::swap`] from a loaded artifact model; non-RF models
@@ -553,18 +562,13 @@ impl ServeEngine {
     /// Every [`ServeEngine::swap`] error, plus a usage error for a non-RF
     /// model.
     pub fn swap_saved(&self, model: SavedModel, fingerprint: u64) -> Result<u64, DrcshapError> {
-        match model {
-            SavedModel::Rf(forest) => self.swap(forest, fingerprint),
-            other => Err(DrcshapError::usage(format!(
-                "serve engine requires an RF artifact, got {}",
-                other.kind()
-            ))),
-        }
+        self.swap(model.into_forest()?, fingerprint)
     }
 
     /// Snapshots the serving metrics.
     pub fn metrics(&self) -> ServeMetrics {
-        self.shared.metrics.snapshot(self.shared.cache.stats(), self.shared.cell.epoch())
+        let model = self.shared.cell.load();
+        self.shared.metrics.snapshot(model.epoch, model.cache.len())
     }
 
     /// Stops admissions, drains every queued request through the workers,
@@ -753,12 +757,52 @@ mod tests {
         let metrics = engine.metrics();
         assert_eq!(metrics.abductive_total, 2);
         assert_eq!(metrics.abductive_timeout_total, 0);
-        // A hot swap invalidates the SAT engine; the next call re-encodes
-        // and explains the *new* model.
+        // The swapped-in epoch encodes its own SAT engine on its first
+        // call and explains the *new* model.
         let rf2 = forest(40);
         engine.swap(rf2.clone(), 7).expect("swap");
         let ex2 = engine.explain_abductive(&x, &XsatBudget::default()).expect("explains");
         assert_eq!(ex2.predicted_hotspot, drcshap_xsat::forest_vote(&rf2, &x));
+    }
+
+    #[test]
+    fn a_late_explain_on_a_swapped_out_epoch_stays_in_that_epoch() {
+        let config = ServeConfig { analytics: Some(AnalyticsConfig::default()), ..quick_config() };
+        let (rf, rf2) = (forest(11), forest(12));
+        let (x, late) = ([0.8f32, 0.3], [0.2f32, 0.6]);
+        let (phi, phi2) =
+            (explain_forest(&rf, &late).contributions, explain_forest(&rf2, &late).contributions);
+        assert_ne!(phi, phi2, "the two models must explain the probe differently");
+        let engine = ServeEngine::start(config, rf, 7).expect("start");
+        engine.explain(&x).expect("explains");
+        let before = engine.analytics_snapshot().expect("mounted");
+        // An explain that loaded epoch 1 and misses its cache only after
+        // the swap to epoch 2.
+        let old = engine.model();
+        engine.swap(rf2, 7).expect("swap");
+        assert_eq!(engine.shap_on(&old, &late).contributions, phi);
+        let metrics = engine.metrics();
+        assert_eq!(metrics.analytics_folds_total, 1);
+        assert_eq!(metrics.analytics_stale_folds_total, 1, "the late fold is dropped and counted");
+        let history = engine.analytics_history();
+        assert_eq!(history.len(), 1);
+        assert_eq!(history[0].digest(), before.digest(), "the retired epoch stays frozen");
+        let now = engine.analytics_snapshot().expect("mounted");
+        assert_eq!((now.n_vectors, now.stale_folds), (0, 1));
+        // Nor does the late answer reach the new epoch's cache.
+        assert_eq!(engine.explain(&late).expect("explains").contributions, phi2);
+    }
+
+    #[test]
+    fn history_keeps_the_last_four_retired_epochs() {
+        let config = ServeConfig { analytics: Some(AnalyticsConfig::default()), ..quick_config() };
+        let engine = ServeEngine::start(config, forest(1), 7).expect("start");
+        for seed in 2..8 {
+            engine.swap(forest(seed), 7).expect("swap");
+        }
+        let epochs: Vec<u64> =
+            engine.analytics_history().iter().map(|s| s.provenance.model_epoch).collect();
+        assert_eq!(epochs, [3, 4, 5, 6]);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! - [`EpochCell`] — epoch-guarded hot model swap: a new validated
 //!   artifact replaces the model between batches without dropping
 //!   requests, and swaps with a different schema fingerprint are
-//!   rejected.
+//!   rejected. Each [`ModelEpoch`] owns what its forest derives: its
+//!   explanation cache, its lazily encoded SAT engine and, when analytics
+//!   is mounted, its analytics sink, so a swap is one pointer store and
+//!   no explanation crosses from one epoch into the next.
 //! - [`ServeMetrics`] — a serializable snapshot of request/batch
 //!   counters, cache hit rate, queue depth, and latency quantiles from a
 //!   `drcshap_telemetry::QuantileSketch`.
@@ -36,7 +39,7 @@ pub mod engine;
 pub mod metrics;
 pub mod swap;
 
-pub use cache::{CacheStats, ExplanationCache};
+pub use cache::ExplanationCache;
 pub use drcshap_forest::CompiledForest;
 pub use engine::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
 pub use metrics::{MetricsRegistry, ServeMetrics};

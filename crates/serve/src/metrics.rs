@@ -42,18 +42,26 @@ pub struct MetricsRegistry {
     pub abductive_timeouts: AtomicU64,
     /// Explained requests folded into the analytics sink.
     pub analytics_folds: AtomicU64,
-    /// Analytics folds dropped because they raced a hot swap.
+    /// Analytics folds dropped because their epoch's sink was already
+    /// retired by a hot swap.
     pub analytics_stale_folds: AtomicU64,
+    /// Explanations answered from an epoch's cache.
+    pub cache_hits: AtomicU64,
+    /// Explanations computed fresh.
+    pub cache_misses: AtomicU64,
     /// Enqueue-to-response latency per request, in nanoseconds.
     pub latency: Mutex<QuantileSketch>,
 }
 
 impl MetricsRegistry {
-    /// Snapshots every counter, combining the engine-side numbers with the
-    /// explanation cache's hit/miss counters and the current model epoch.
-    pub fn snapshot(&self, cache: crate::cache::CacheStats, model_epoch: u64) -> ServeMetrics {
+    /// Snapshots every counter, with the serving epoch's number and the
+    /// number of explanations resident in its cache.
+    pub fn snapshot(&self, model_epoch: u64, cache_len: usize) -> ServeMetrics {
         let batches = self.batches.load(Ordering::Relaxed);
         let samples = self.samples.load(Ordering::Relaxed);
+        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
+        let lookups = cache_hits + cache_misses;
         let latency = self.latency.lock().expect("latency lock poisoned");
         let latency_us = |q| latency.quantile(q).unwrap_or(0.0) / 1e3;
         ServeMetrics {
@@ -72,10 +80,10 @@ impl MetricsRegistry {
             abductive_timeout_total: self.abductive_timeouts.load(Ordering::Relaxed),
             analytics_folds_total: self.analytics_folds.load(Ordering::Relaxed),
             analytics_stale_folds_total: self.analytics_stale_folds.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_len: cache.len,
-            cache_hit_rate: cache.hit_rate(),
+            cache_hits,
+            cache_misses,
+            cache_len,
+            cache_hit_rate: if lookups == 0 { 0.0 } else { cache_hits as f64 / lookups as f64 },
             latency_p50_us: latency_us(0.50),
             latency_p99_us: latency_us(0.99),
         }
@@ -117,11 +125,11 @@ pub struct ServeMetrics {
     pub analytics_folds_total: u64,
     /// Analytics folds dropped because they raced a hot swap.
     pub analytics_stale_folds_total: u64,
-    /// Explanation-cache hits.
+    /// Explanation-cache hits, over the engine's life.
     pub cache_hits: u64,
-    /// Explanation-cache misses.
+    /// Explanation-cache misses, over the engine's life.
     pub cache_misses: u64,
-    /// Explanations currently cached.
+    /// Explanations cached for the serving epoch.
     pub cache_len: usize,
     /// `hits / (hits + misses)`, 0 when no lookups happened.
     pub cache_hit_rate: f64,
@@ -143,8 +151,9 @@ mod tests {
         m.requests.store(10, Ordering::Relaxed);
         m.batches.store(4, Ordering::Relaxed);
         m.samples.store(10, Ordering::Relaxed);
-        let cache = crate::cache::CacheStats { hits: 3, misses: 1, len: 2, capacity: 8 };
-        let snap = m.snapshot(cache, 2);
+        m.cache_hits.store(3, Ordering::Relaxed);
+        m.cache_misses.store(1, Ordering::Relaxed);
+        let snap = m.snapshot(2, 2);
         assert_eq!(snap.model_epoch, 2);
         assert!((snap.mean_batch - 2.5).abs() < 1e-12);
         assert!((snap.cache_hit_rate - 0.75).abs() < 1e-12);
@@ -163,8 +172,7 @@ mod tests {
                 latency.insert(f64::from(us) * 1e3);
             }
         }
-        let cache = crate::cache::CacheStats { hits: 0, misses: 0, len: 0, capacity: 0 };
-        let snap = m.snapshot(cache, 1);
+        let snap = m.snapshot(1, 0);
         // The exact rank-⌈qn⌉ latencies are 500 and 990 µs.
         for (got, exact) in [(snap.latency_p50_us, 500.0), (snap.latency_p99_us, 990.0)] {
             assert!((got - exact).abs() <= exact / 128.0, "{got} vs {exact}");

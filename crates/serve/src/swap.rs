@@ -7,17 +7,28 @@
 //! created with (the same identity checks `core::artifact` stamps into
 //! model files), so a model trained against a different feature schema can
 //! never slip into the hot path.
+//!
+//! An epoch also owns everything derived from its forest: the explanation
+//! cache, the lazily encoded SAT engine, and, when analytics is mounted,
+//! the analytics sink with the provenance its snapshots carry. A swap
+//! replaces all of them with one pointer store, and an explanation
+//! computed on an epoch can only land in that epoch's cache and sink.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
+use drcshap_analytics::{AnalyticsConfig, AnalyticsSink, AnalyticsSnapshot, Provenance};
+use drcshap_core::SavedModel;
 use drcshap_forest::{CompiledForest, RandomForest};
 use drcshap_ml::{DrcshapError, SchemaError};
+use drcshap_shap::InteractionValues;
 use drcshap_telemetry as telemetry;
+use drcshap_xsat::AbductiveEngine;
+
+use crate::cache::ExplanationCache;
 
 /// One immutable generation of the serving model: the reference forest
-/// (kept for SHAP explanations), its compiled inference layout, and the
-/// identity it was validated against.
+/// (kept for SHAP explanations), its compiled inference layout, the
+/// identity it was validated against, and the state derived from it.
 #[derive(Debug)]
 pub struct ModelEpoch {
     /// Monotonically increasing epoch number; the initial model is 1.
@@ -28,9 +39,45 @@ pub struct ModelEpoch {
     pub forest: RandomForest,
     /// The compiled batched-inference layout every batch is scored by.
     pub compiled: CompiledForest,
+    /// SHAP explanations of this epoch's forest.
+    pub(crate) cache: ExplanationCache,
+    /// The SAT engine encoded from this epoch's forest on its first
+    /// abductive call; learned clauses carry over within the epoch.
+    pub(crate) abductive: Mutex<Option<AbductiveEngine>>,
+    /// This epoch's analytics; `None` when analytics is off.
+    pub(crate) analytics: Option<EpochAnalytics>,
 }
 
 impl ModelEpoch {
+    /// Compiles `forest` as epoch `epoch`, with an empty cache and, given
+    /// an analytics config and the artifact CRC, an empty sink.
+    fn new(
+        epoch: u64,
+        fingerprint: u64,
+        forest: RandomForest,
+        cache_capacity: usize,
+        analytics: Option<(&AnalyticsConfig, u32)>,
+    ) -> Self {
+        let compiled = CompiledForest::compile(&forest);
+        let analytics = analytics.map(|(config, artifact_crc)| EpochAnalytics {
+            provenance: Provenance {
+                artifact_crc,
+                schema_fingerprint: fingerprint,
+                model_epoch: epoch,
+            },
+            sink: Mutex::new(Some(AnalyticsSink::new(config.clone()))),
+        });
+        Self {
+            epoch,
+            fingerprint,
+            forest,
+            compiled,
+            cache: ExplanationCache::new(cache_capacity),
+            abductive: Mutex::new(None),
+            analytics,
+        }
+    }
+
     /// Scores a row-major batch through this epoch's compiled forest,
     /// under the `kernel/compiled` telemetry span. Plain batches are
     /// bit-identical to `RandomForest::predict_proba` per row, `nan_aware`
@@ -53,23 +100,87 @@ impl ModelEpoch {
     }
 }
 
+/// One epoch's analytics sink and the provenance its snapshots carry
+/// (artifact CRC, schema fingerprint, epoch).
+#[derive(Debug)]
+pub(crate) struct EpochAnalytics {
+    provenance: Provenance,
+    /// The live sink; taken when a swap retires the epoch.
+    sink: Mutex<Option<AnalyticsSink>>,
+}
+
+impl EpochAnalytics {
+    /// Folds one explained request. `false` when the fold was dropped:
+    /// the epoch was retired by a swap, or the shapes disagree.
+    pub(crate) fn fold(&self, x: &[f32], phi: &[f64], iv: Option<&InteractionValues>) -> bool {
+        let mut sink = self.sink.lock().expect("analytics sink lock poisoned");
+        let Some(sink) = sink.as_mut() else { return false };
+        if sink.fold(x, phi).is_err() {
+            return false;
+        }
+        if let Some(iv) = iv {
+            sink.fold_interactions(iv);
+        }
+        true
+    }
+
+    /// The live sink's snapshot, reporting `stale_folds`; `None` once the
+    /// epoch is retired.
+    pub(crate) fn snapshot(&self, stale_folds: u64) -> Option<AnalyticsSnapshot> {
+        let sink = self.sink.lock().expect("analytics sink lock poisoned");
+        sink.as_ref().map(|sink| self.stamp(sink, stale_folds))
+    }
+
+    /// Takes the sink and freezes it into a snapshot reporting
+    /// `stale_folds`; every later fold on this epoch is dropped. `None`
+    /// when the epoch was already retired.
+    pub(crate) fn retire(&self, stale_folds: u64) -> Option<AnalyticsSnapshot> {
+        let sink = self.sink.lock().expect("analytics sink lock poisoned").take()?;
+        Some(self.stamp(&sink, stale_folds))
+    }
+
+    fn stamp(&self, sink: &AnalyticsSink, stale_folds: u64) -> AnalyticsSnapshot {
+        let mut snapshot = sink.snapshot(self.provenance);
+        snapshot.stale_folds = stale_folds;
+        snapshot
+    }
+}
+
+/// CRC32 of the canonical artifact encoding of `forest` — the same bytes
+/// `core::artifact::save_model` would write, so analytics provenance
+/// matches the on-disk artifact identity.
+fn artifact_crc_of(forest: &RandomForest, fingerprint: u64) -> u32 {
+    drcshap_core::encode_model(&SavedModel::Rf(forest.clone()), fingerprint)
+        .map(|bytes| drcshap_core::artifact::crc32(&bytes))
+        .unwrap_or(0)
+}
+
 /// The epoch-guarded model pointer. `load` is a brief read lock returning
 /// an [`Arc`] that keeps the epoch alive for the duration of a batch even
 /// if a swap replaces it concurrently.
 #[derive(Debug)]
 pub struct EpochCell {
     current: RwLock<Arc<ModelEpoch>>,
-    /// Cached copy of the live epoch number, readable without the lock.
-    epoch: AtomicU64,
+    cache_capacity: usize,
+    analytics: Option<AnalyticsConfig>,
 }
 
 impl EpochCell {
     /// Compiles `forest` and installs it as epoch 1, bound to
-    /// `fingerprint` as the cell's schema identity.
-    pub fn new(forest: RandomForest, fingerprint: u64) -> Self {
-        let compiled = CompiledForest::compile(&forest);
-        let initial = Arc::new(ModelEpoch { epoch: 1, fingerprint, forest, compiled });
-        Self { current: RwLock::new(initial), epoch: AtomicU64::new(1) }
+    /// `fingerprint` as the cell's schema identity. Every epoch gets an
+    /// explanation cache of `cache_capacity` entries and, when `analytics`
+    /// is set, a sink of its own, stamped with the artifact CRC (computed
+    /// only then).
+    pub fn new(
+        forest: RandomForest,
+        fingerprint: u64,
+        cache_capacity: usize,
+        analytics: Option<AnalyticsConfig>,
+    ) -> Self {
+        let crc = analytics.as_ref().map(|_| artifact_crc_of(&forest, fingerprint));
+        let initial =
+            ModelEpoch::new(1, fingerprint, forest, cache_capacity, analytics.as_ref().zip(crc));
+        Self { current: RwLock::new(Arc::new(initial)), cache_capacity, analytics }
     }
 
     /// The currently serving epoch.
@@ -77,14 +188,10 @@ impl EpochCell {
         self.current.read().expect("epoch lock poisoned").clone()
     }
 
-    /// The live epoch number, without taking the lock.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Validates and installs a replacement model, returning the new epoch
-    /// number. In-flight batches keep scoring with the epoch they loaded;
-    /// the next batch picks up the replacement.
+    /// Validates and installs a replacement model as the next epoch, with
+    /// a fresh cache and sink, and returns the epoch it replaced.
+    /// In-flight batches and explanations keep working with the epoch
+    /// they loaded; the next ones pick up the replacement.
     ///
     /// # Errors
     ///
@@ -92,7 +199,12 @@ impl EpochCell {
     /// the cell's schema identity; [`SchemaError::FeatureCountMismatch`]
     /// when the replacement forest was trained on a different feature
     /// count.
-    pub fn swap(&self, forest: RandomForest, fingerprint: u64) -> Result<u64, DrcshapError> {
+    pub fn swap(
+        &self,
+        forest: RandomForest,
+        fingerprint: u64,
+    ) -> Result<Arc<ModelEpoch>, DrcshapError> {
+        let crc = self.analytics.as_ref().map(|_| artifact_crc_of(&forest, fingerprint));
         let mut guard = self.current.write().expect("epoch lock poisoned");
         if fingerprint != guard.fingerprint {
             return Err(SchemaError::FingerprintMismatch {
@@ -108,11 +220,14 @@ impl EpochCell {
             }
             .into());
         }
-        let epoch = guard.epoch + 1;
-        let compiled = CompiledForest::compile(&forest);
-        *guard = Arc::new(ModelEpoch { epoch, fingerprint, forest, compiled });
-        self.epoch.store(epoch, Ordering::Release);
-        Ok(epoch)
+        let next = ModelEpoch::new(
+            guard.epoch + 1,
+            fingerprint,
+            forest,
+            self.cache_capacity,
+            self.analytics.as_ref().zip(crc),
+        );
+        Ok(std::mem::replace(&mut *guard, Arc::new(next)))
     }
 }
 
@@ -138,12 +253,11 @@ mod tests {
 
     #[test]
     fn swap_bumps_the_epoch_and_replaces_the_model() {
-        let cell = EpochCell::new(forest(1, 2), 99);
-        assert_eq!(cell.epoch(), 1);
+        let cell = EpochCell::new(forest(1, 2), 99, 4, None);
+        assert_eq!(cell.load().epoch, 1);
         let before = cell.load();
-        let epoch = cell.swap(forest(2, 2), 99).expect("valid swap");
-        assert_eq!(epoch, 2);
-        assert_eq!(cell.epoch(), 2);
+        let replaced = cell.swap(forest(2, 2), 99).expect("valid swap");
+        assert!(Arc::ptr_eq(&replaced, &before));
         let after = cell.load();
         assert_eq!(after.epoch, 2);
         // The old epoch is still alive for whoever holds it.
@@ -153,7 +267,7 @@ mod tests {
 
     #[test]
     fn swap_rejects_wrong_fingerprint() {
-        let cell = EpochCell::new(forest(1, 2), 99);
+        let cell = EpochCell::new(forest(1, 2), 99, 4, None);
         let e = cell.swap(forest(2, 2), 98).unwrap_err();
         assert!(
             matches!(
@@ -162,12 +276,12 @@ mod tests {
             ),
             "{e}"
         );
-        assert_eq!(cell.epoch(), 1, "failed swap must not bump the epoch");
+        assert_eq!(cell.load().epoch, 1, "failed swap must not bump the epoch");
     }
 
     #[test]
     fn swap_rejects_wrong_feature_count() {
-        let cell = EpochCell::new(forest(1, 2), 99);
+        let cell = EpochCell::new(forest(1, 2), 99, 4, None);
         let e = cell.swap(forest(2, 3), 99).unwrap_err();
         assert!(
             matches!(

@@ -50,9 +50,9 @@ fn config_with_analytics(workers: usize) -> ServeConfig {
 
 /// The acceptance bar: the same explained multiset produces the same
 /// snapshot digest whatever the engine's worker count or the number of
-/// client threads (each client thread folds into the sink shard its id
-/// hashes to) — and it equals a plain single-threaded [`AnalyticsSink`]
-/// fold of the same cases.
+/// client threads (all of them folding into the serving epoch's one
+/// sink, in whatever order they interleave) — and it equals a plain
+/// single-threaded [`AnalyticsSink`] fold of the same cases.
 #[test]
 fn digests_are_bit_identical_across_worker_and_shard_counts() {
     let rf = forest(3);

@@ -310,10 +310,18 @@ fn explanation_cache_short_circuits_repeat_lookups() {
     assert_eq!(metrics.cache_hits, 1);
     assert_eq!(metrics.cache_misses, 1);
 
-    // A swap invalidates the cache: same probe, fresh explanation for the
-    // new model.
-    engine.swap(forest(5), 7).expect("swap");
+    // The next epoch starts with its own empty cache: same probe, fresh
+    // explanation for the new model, and the counters keep counting.
+    let rf2 = forest(5);
+    engine.swap(rf2.clone(), 7).expect("swap");
+    assert_eq!(engine.metrics().cache_len, 0);
     let third = engine.explain(&probe).expect("explain after swap");
     assert!(!Arc::ptr_eq(&second, &third), "stale explanation served after swap");
     assert!(third.local_accuracy_gap() < 1e-9);
+    assert_eq!(third.contributions, drcshap_shap::explain_forest(&rf2, &probe).contributions);
+    let fourth = engine.explain(&probe).expect("explain after swap");
+    assert!(Arc::ptr_eq(&third, &fourth));
+    let metrics = engine.metrics();
+    assert_eq!((metrics.cache_hits, metrics.cache_misses, metrics.cache_len), (2, 2, 1));
+    assert!((metrics.cache_hit_rate - 0.5).abs() < 1e-12);
 }

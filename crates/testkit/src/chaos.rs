@@ -14,6 +14,11 @@
 //!   bit-exact score the epoch-`e` forest assigns its probe. A worker
 //!   that tears a batch across a hot swap (scoring half a batch with the
 //!   old model after the epoch tag advanced) fails this immediately.
+//!   Explanations are held to the same bar: every client round also
+//!   explains a small fixed probe pool (so the explanation cache hits),
+//!   and each φ must bit-equal the explanation of some epoch that served
+//!   during the call. An explanation computed on one epoch that lands in
+//!   the next epoch's cache fails this on its next hit.
 //!
 //! The harness is seeded like every other scenario: the forest variants,
 //! probe streams, burst sizes, and swap cadence all derive from one `u64`,
@@ -31,6 +36,7 @@ use std::time::{Duration, Instant};
 use drcshap_forest::RandomForest;
 use drcshap_ml::{DrcshapError, NanPolicy};
 use drcshap_serve::{ScoredResponse, ServeConfig, ServeEngine};
+use drcshap_shap::explain_forest;
 use rand::Rng;
 
 use crate::scenario::{self, SizeLevel};
@@ -59,6 +65,9 @@ pub struct ChaosReport {
     pub responses: u64,
     /// Responses validated bitwise against their claimed epoch's forest.
     pub validated: u64,
+    /// Explanations validated bitwise against an epoch live during the
+    /// call.
+    pub explanations: u64,
     /// Submissions shed with the typed overload error (expected).
     pub overloads: u64,
     /// Successful hot swaps performed.
@@ -71,8 +80,14 @@ impl std::fmt::Display for ChaosReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} responses ({} validated) across {} epochs, {} swaps, {} overload sheds",
-            self.responses, self.validated, self.epochs_observed, self.swaps, self.overloads
+            "{} responses ({} validated) and {} explanations validated across {} epochs, {} \
+             swaps, {} overload sheds",
+            self.responses,
+            self.validated,
+            self.explanations,
+            self.epochs_observed,
+            self.swaps,
+            self.overloads
         )
     }
 }
@@ -100,9 +115,48 @@ fn check_response(
     Ok(true)
 }
 
+/// Probes every client round explains.
+const EXPLAIN_POOL: usize = 4;
+
+/// One pooled probe and its φ under each forest variant.
+struct PoolProbe {
+    x: Vec<f32>,
+    phi: Vec<Vec<f64>>,
+}
+
+/// Explains `probe` and validates its φ against the variants of the
+/// epochs that served from just before the call to just after it.
+fn check_explanation(
+    engine: &ServeEngine,
+    epoch_map: &Mutex<HashMap<u64, usize>>,
+    probe: &PoolProbe,
+) -> Result<(), String> {
+    let first = engine.model().epoch;
+    let explanation = engine.explain(&probe.x).map_err(|e| format!("explain failed: {e}"))?;
+    let last = engine.model().epoch;
+    // The swapper records an epoch before releasing the map, so every
+    // epoch up to `last` is in it once the lock is ours.
+    let map = epoch_map.lock().expect("epoch map poisoned");
+    let got = &explanation.contributions;
+    for epoch in first..=last {
+        let variant =
+            *map.get(&epoch).ok_or_else(|| format!("epoch {epoch} was never recorded"))?;
+        let want = &probe.phi[variant];
+        if want.len() == got.len() && want.iter().zip(got).all(|(a, b)| a.to_bits() == b.to_bits())
+        {
+            return Ok(());
+        }
+    }
+    Err(format!(
+        "explain over epochs {first}..={last} returned phi of no live epoch: {:?}",
+        explanation.contributions
+    ))
+}
+
 struct ClientOutcome {
     responses: u64,
     validated: u64,
+    explanations: u64,
     overloads: u64,
     epochs: Vec<u64>,
     deferred: Vec<(Vec<f32>, ScoredResponse)>,
@@ -114,6 +168,7 @@ fn client_loop(
     deadline: Instant,
     engine: &ServeEngine,
     variants: &[RandomForest],
+    pool: &[PoolProbe],
     epoch_map: &Mutex<HashMap<u64, usize>>,
 ) -> Result<ClientOutcome, String> {
     let mut rng = scenario::rng_for(seed ^ 0xC11E ^ ((id as u64) << 32));
@@ -121,6 +176,7 @@ fn client_loop(
     let mut out = ClientOutcome {
         responses: 0,
         validated: 0,
+        explanations: 0,
         overloads: 0,
         epochs: Vec::new(),
         deferred: Vec::new(),
@@ -152,6 +208,10 @@ fn client_loop(
                 false => out.deferred.push((probe, response)),
             }
         }
+        for probe in pool {
+            check_explanation(engine, epoch_map, probe).map_err(|e| format!("client {id}: {e}"))?;
+            out.explanations += 1;
+        }
     }
     Ok(out)
 }
@@ -163,12 +223,25 @@ fn client_loop(
 ///
 /// Returns `Err` with a diagnostic on any invariant violation: a lost
 /// response, a non-overload submit failure, a bitwise score mismatch
-/// against the claimed epoch's forest, or (for soaks of at least one
-/// second) fewer than two epochs observed in responses.
+/// against the claimed epoch's forest, an explanation of no epoch live
+/// during its call, or (for soaks of at least one second) fewer than two
+/// epochs observed in responses.
 pub fn chaos_soak(seed: u64, config: &ChaosConfig) -> Result<ChaosReport, String> {
     let level = SizeLevel(1);
     let variants: Vec<RandomForest> =
         (0..config.variants.max(2) as u64).map(|v| scenario::forest(seed ^ v, level)).collect();
+    let pool: Vec<PoolProbe> = scenario::probes(
+        &mut scenario::rng_for(seed ^ 0xE9A1),
+        level.n_features(),
+        EXPLAIN_POOL,
+        false,
+    )
+    .into_iter()
+    .map(|x| {
+        let phi = variants.iter().map(|f| explain_forest(f, &x).contributions).collect();
+        PoolProbe { x, phi }
+    })
+    .collect();
     let fingerprint = seed;
     let serve_config = ServeConfig {
         max_batch: 8,
@@ -210,16 +283,17 @@ pub fn chaos_soak(seed: u64, config: &ChaosConfig) -> Result<ChaosReport, String
         });
         let clients: Vec<_> = (0..config.clients.max(1))
             .map(|id| {
-                let engine = &engine;
-                let variants = &variants;
-                let epoch_map = &epoch_map;
-                scope.spawn(move || client_loop(id, seed, deadline, engine, variants, epoch_map))
+                let (engine, variants, pool, epoch_map) = (&engine, &variants, &pool, &epoch_map);
+                scope.spawn(move || {
+                    client_loop(id, seed, deadline, engine, variants, pool, epoch_map)
+                })
             })
             .collect();
         for handle in clients {
             let out = handle.join().map_err(|_| "client thread panicked".to_string())??;
             report.responses += out.responses;
             report.validated += out.validated;
+            report.explanations += out.explanations;
             report.overloads += out.overloads;
             for e in out.epochs {
                 if !epochs.contains(&e) {
@@ -290,6 +364,7 @@ mod tests {
         let report = chaos_soak(11, &config).expect("soak must hold its invariants");
         assert!(report.responses > 0);
         assert_eq!(report.validated, report.responses);
+        assert!(report.explanations > 0, "no explanation validated in {report}");
     }
 
     #[test]

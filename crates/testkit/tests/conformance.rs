@@ -38,5 +38,6 @@ fn two_second_soak_validates_every_response() {
     assert_eq!(report.validated, report.responses, "unvalidated responses: {report}");
     assert!(report.responses > 0, "soak produced no traffic: {report}");
     assert!(report.swaps > 0, "soak never swapped: {report}");
+    assert!(report.explanations > 0, "soak explained nothing: {report}");
     assert!(report.epochs_observed >= 2, "responses never crossed an epoch: {report}");
 }

@@ -515,12 +515,8 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
     let bytes = std::fs::read(&model_path).map_err(|e| DrcshapError::io(model_path.clone(), e))?;
     let artifact_crc = crc32(&bytes);
     let model = drcshap::core::artifact::decode_model(&bytes, schema.fingerprint())?;
-    let SavedModel::Rf(forest) = &model else {
-        return Err(DrcshapError::usage(format!(
-            "explain --model requires an RF artifact (found {})",
-            model.kind()
-        )));
-    };
+    let model_kind = model.kind().to_string();
+    let forest = &model.into_forest()?;
 
     // Case rows: an explicit JSONL file of feature vectors, or the
     // top-`limit` predicted hotspots of a built design.
@@ -531,8 +527,7 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
             let config = PipelineConfig { scale, ..Default::default() };
             eprintln!("building {} at scale {}...", spec.name, config.scale);
             let bundle = try_build_design(&spec, &config)?;
-            let (ranked, _) =
-                stream_scores(model.as_classifier(), matrix_rows(&bundle.features), limit)?;
+            let (ranked, _) = stream_scores(forest, matrix_rows(&bundle.features), limit)?;
             ranked.iter().map(|&(i, _)| (i, bundle.features.row(i).to_vec())).collect()
         }
         _ => {
@@ -613,7 +608,7 @@ fn cmd_explain_model(args: &[String]) -> Result<(), DrcshapError> {
         provenance: ExplainProvenance {
             artifact_crc,
             schema_fingerprint: schema.fingerprint(),
-            model_kind: model.kind().to_string(),
+            model_kind,
             model_epoch: 1,
             n_features: forest.n_features(),
         },
@@ -955,6 +950,11 @@ fn duration(amount: f64, per_sec: f64) -> Option<Duration> {
 /// Runs the supervised suite build and prints the per-design table plus a
 /// CRC32 digest over the exact feature bit patterns of every completed
 /// design — a resumed run and an uninterrupted one print the same digest.
+///
+/// # Errors
+///
+/// The supervisor's run errors, and [`PipelineError::Incomplete`] after
+/// the table and digest when a design failed or was cancelled.
 fn run_and_report(specs: &[DesignSpec], sup: &SupervisorConfig) -> Result<(), DrcshapError> {
     eprintln!(
         "supervised suite build at scale {} into {}{}...",
@@ -980,6 +980,13 @@ fn run_and_report(specs: &[DesignSpec], sup: &SupervisorConfig) -> Result<(), Dr
         crc32(&bytes),
         report.completed()
     );
+    if report.completed() < report.designs.len() {
+        return Err(PipelineError::Incomplete {
+            completed: report.completed(),
+            designs: report.designs.len(),
+        }
+        .into());
+    }
     Ok(())
 }
 

@@ -389,3 +389,25 @@ fn expired_stage_deadline_degrades_but_the_suite_completes() {
     }
     cleanup(&sup);
 }
+
+#[test]
+fn cli_run_with_a_failed_design_reports_it_then_exits_1() {
+    let sup = sup_config("cli-failed");
+    std::fs::create_dir_all(&sup.run_dir).expect("run dir");
+    // A plain file where the design's checkpoint directory goes fails
+    // every attempt with an I/O error.
+    std::fs::write(sup.run_dir.join("fft_1"), b"").expect("blocking file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_drcshap"))
+        .arg("run")
+        .arg(&sup.run_dir)
+        .args(["0.05", "--design", "fft_1"])
+        .output()
+        .expect("run drcshap");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("0/1 designs completed"), "{stdout}");
+    assert!(stdout.contains("feature digest"), "{stdout}");
+    assert!(stderr.contains("run incomplete: 0 of 1 designs completed"), "{stderr}");
+    cleanup(&sup);
+}

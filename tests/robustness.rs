@@ -59,6 +59,26 @@ fn pipeline_design_round_trips_through_def() {
 }
 
 #[test]
+fn def_whose_die_differs_from_the_spec_is_rejected_at_its_line() {
+    let config = PipelineConfig { scale: 0.1, ..Default::default() };
+    let bundle = build_design(&suite::spec("fft_1").unwrap(), &config);
+    let die = bundle.design.die;
+    let text = write_def(&bundle.design);
+    let area = format!("DIEAREA ( {} {} ) ( {} {} ) ;", die.lo.x, die.lo.y, die.hi.x, die.hi.y);
+    let doubled = format!(
+        "DIEAREA ( {} {} ) ( {} {} ) ;",
+        die.lo.x,
+        die.lo.y,
+        die.lo.x + 2 * die.width(),
+        die.lo.y + 2 * die.height()
+    );
+    let line = text.lines().position(|l| l == area).expect("DIEAREA line") + 1;
+    let e = read_def(&text.replace(&area, &doubled), bundle.design.spec.clone()).unwrap_err();
+    assert_eq!(e.line, line, "{e}");
+    assert!(e.message.contains("DIEAREA"), "{e}");
+}
+
+#[test]
 fn macro_heavy_design_keeps_blocked_cells_unlabeled_mostly() {
     // Cells fully under macros have no routing resources; the oracle should
     // rarely, if ever, mark them (only 'surprise' draws can).
