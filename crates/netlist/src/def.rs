@@ -121,7 +121,8 @@ impl std::error::Error for ParseDefError {}
 /// # Errors
 ///
 /// Returns [`ParseDefError`] on any malformed line, a `DIEAREA` other than
-/// `spec`'s die, an unknown component reference, or a missing section.
+/// `spec`'s die, a component size that is not positive or whose far
+/// corner overflows, an unknown component reference, or a missing section.
 pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
     let err = |line: usize, message: &str| ParseDefError { line, message: message.to_owned() };
 
@@ -162,9 +163,10 @@ pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
                 .ok_or_else(|| err(n, "macro without BLOCK_ master"))?;
             let (w, h) = parse_dims(dims).ok_or_else(|| err(n, "bad macro dims"))?;
             let (x, y) = parse_point(&toks, 5).ok_or_else(|| err(n, "bad macro origin"))?;
-            let id = design
-                .netlist
-                .add_macro(Macro { rect: Rect::new(x, y, x + w, y + h), pins: Vec::new() });
+            let (x1, y1) = far_corner(x, y, w, h)
+                .ok_or_else(|| err(n, "macro extends past the coordinate range"))?;
+            let id =
+                design.netlist.add_macro(Macro { rect: Rect::new(x, y, x1, y1), pins: Vec::new() });
             macro_ids.insert(name.to_owned(), id);
         } else if line.starts_with("- cell_") {
             let toks: Vec<&str> = line.split_whitespace().collect();
@@ -179,6 +181,8 @@ pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
             };
             let (w, h) = parse_dims(dims).ok_or_else(|| err(n, "bad cell dims"))?;
             let (x, y) = parse_point(&toks, 5).ok_or_else(|| err(n, "bad cell origin"))?;
+            far_corner(x, y, w, h)
+                .ok_or_else(|| err(n, "cell extends past the coordinate range"))?;
             let id = design.netlist.add_cell(Cell {
                 width: w,
                 height: h,
@@ -247,9 +251,17 @@ pub fn read_def(text: &str, spec: DesignSpec) -> Result<Design, ParseDefError> {
     Ok(design)
 }
 
+/// A component size `WxH`; `None` unless both are positive integers.
 fn parse_dims(s: &str) -> Option<(i64, i64)> {
     let (w, h) = s.split_once('x')?;
-    Some((w.parse().ok()?, h.parse().ok()?))
+    let (w, h): (i64, i64) = (w.parse().ok()?, h.parse().ok()?);
+    (w > 0 && h > 0).then_some((w, h))
+}
+
+/// The corner opposite `(x, y)` of a `w`×`h` component; `None` when it
+/// lies past the `i64` range.
+fn far_corner(x: i64, y: i64, w: i64, h: i64) -> Option<(i64, i64)> {
+    Some((x.checked_add(w)?, y.checked_add(h)?))
 }
 
 fn parse_point(toks: &[&str], open_paren: usize) -> Option<(i64, i64)> {

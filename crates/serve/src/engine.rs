@@ -1,16 +1,34 @@
-//! The serving engine: a bounded request queue with micro-batching, a
-//! worker pool draining it through the compiled forest, typed
-//! backpressure, hot model swap, and graceful shutdown.
+//! The serving engine: a bounded queue of micro-batches formed at
+//! submission, a worker pool draining it through the compiled forest,
+//! typed backpressure, hot model swap, and graceful shutdown.
 //!
 //! # Batching policy
 //!
-//! Requests accepted by [`ServeEngine::submit`] wait in a bounded queue.
-//! A worker flushes a batch when either `max_batch` requests are waiting
-//! or the oldest request has waited `max_wait` — the classic
-//! latency/throughput trade dial. When the queue is at `queue_capacity`,
-//! submission fails fast with [`DrcshapError::Overloaded`] instead of
-//! queueing without bound: load shedding at the admission boundary keeps
-//! tail latency bounded under overload.
+//! [`ServeEngine::submit`] appends each accepted request to the queue's
+//! back batch and opens a new batch once the back one holds `max_batch`
+//! requests, so only the back batch can be partial. A worker flushes the
+//! front batch when it is full, when its oldest request has waited
+//! `max_wait`, on shutdown, or as soon as a caller blocks on one of its
+//! tickets: `max_wait` only holds back requests nobody is waiting on yet,
+//! such as a client still filling its ticket window. When the queue holds
+//! `queue_capacity` requests, submission fails fast with
+//! [`DrcshapError::Overloaded`] instead of queueing without bound: load
+//! shedding at the admission boundary keeps tail latency bounded under
+//! overload.
+//!
+//! A submission wakes a worker only when a flush decision can change: the
+//! queue goes from empty to non-empty, or a batch fills. A blocked caller
+//! wakes one only when a worker sleeps on a partial batch's `max_wait`
+//! timer; otherwise the next worker to look at the queue sees the batch
+//! is waited on.
+//!
+//! # Answers
+//!
+//! Every ticket of a batch shares the batch's one answer slot. The worker
+//! publishes all of the batch's answers at once and wakes the slot's
+//! waiters once, so a client waiting on its oldest ticket finds every
+//! later ticket of the batch answered. A batch dropped unanswered (a
+//! worker panicked mid-flush) answers its tickets with a usage error.
 //!
 //! # Epochs
 //!
@@ -30,8 +48,8 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,7 +73,9 @@ const RETAINED_EPOCHS: usize = 4;
 pub struct ServeConfig {
     /// Flush a batch as soon as this many requests are waiting.
     pub max_batch: usize,
-    /// Flush a batch once the oldest waiting request is this old.
+    /// Flush a batch once its oldest request is this old. A caller that
+    /// blocks on a ticket flushes its batch at once, so this only holds
+    /// back requests nobody is waiting on yet.
     pub max_wait: Duration,
     /// Requests the queue holds before submissions are shed with
     /// [`DrcshapError::Overloaded`].
@@ -123,14 +143,25 @@ pub struct ScoredResponse {
     pub batch_size: usize,
 }
 
-/// A pending response handle returned by [`ServeEngine::submit`].
-#[derive(Debug)]
+/// A pending response handle returned by [`ServeEngine::submit`]: its
+/// batch's answer slot and its index in the batch.
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<ScoredResponse, DrcshapError>>,
+    slot: Arc<Slot>,
+    index: usize,
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("index", &self.index)
+            .field("answered", &self.slot.answers.get().is_some())
+            .finish()
+    }
 }
 
 impl Ticket {
-    /// Blocks until the engine scores the request.
+    /// Blocks until the engine scores the request, flushing its batch if
+    /// the batch is still queued.
     ///
     /// # Errors
     ///
@@ -138,45 +169,213 @@ impl Ticket {
     /// terminated without responding (worker panic — not reachable from
     /// any input).
     pub fn wait(self) -> Result<ScoredResponse, DrcshapError> {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => {
-                Err(DrcshapError::usage("serve engine dropped the request (worker terminated)"))
-            }
-        }
+        self.slot.wait(self.index, None).expect("a wait without a timeout returns an answer")
     }
 
     /// Waits up to `timeout` for the response without consuming the ticket.
     /// `None` means the request is still in flight — poll again, hedge it
-    /// to another shard, or keep waiting with [`Ticket::wait`].
+    /// to another shard, or keep waiting with [`Ticket::wait`]. A nonzero
+    /// `timeout` flushes a still-queued batch like [`Ticket::wait`]; a
+    /// zero one only polls.
     pub fn wait_for(&self, timeout: Duration) -> Option<Result<ScoredResponse, DrcshapError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(DrcshapError::usage(
-                "serve engine dropped the request (worker terminated)",
-            ))),
+        self.slot.wait(self.index, Some(timeout))
+    }
+}
+
+/// One accepted request, waiting in its batch.
+struct Request {
+    x: Vec<f32>,
+    enqueued: Instant,
+    budget: StageBudget,
+}
+
+/// Requests formed into one batch at submission, in ticket order, and the
+/// slot their answers are published to. Dropping a batch before its
+/// answers are published (a worker panicked mid-flush) answers every
+/// ticket with the worker-terminated error, so no caller stays blocked.
+struct Batch {
+    requests: Vec<Request>,
+    slot: Arc<Slot>,
+}
+
+impl Drop for Batch {
+    fn drop(&mut self) {
+        self.slot.publish(Answers::Terminated);
+    }
+}
+
+/// [`Slot::stage`]: the batch is queued and nobody waits on it.
+const QUEUED: u8 = 0;
+/// [`Slot::stage`]: the batch is queued and a worker sleeps on its
+/// `max_wait` timer.
+const TIMED: u8 = 1;
+/// [`Slot::stage`]: the batch is queued and a caller blocks on it.
+const WAITED: u8 = 2;
+/// [`Slot::stage`]: a worker has taken the batch.
+const TAKEN: u8 = 3;
+
+/// The one answer slot every ticket of a batch shares.
+struct Slot {
+    /// Published once, by the worker that scored the batch.
+    answers: OnceLock<Answers>,
+    /// [`QUEUED`], [`TIMED`], [`WAITED`] or [`TAKEN`]. Relaxed
+    /// throughout: the stage publishes no other data, a worker rereads it
+    /// under the queue lock, and that lock orders a timed sleeper's wait
+    /// before the caller's wake-up.
+    stage: AtomicU8,
+    /// Callers blocked on `answered`.
+    waiters: Mutex<usize>,
+    answered: Condvar,
+    /// The engine whose queue holds the batch, for a blocked caller's
+    /// flush. Weak, so a queued batch does not keep its engine alive.
+    engine: Weak<Shared>,
+}
+
+impl Slot {
+    fn new(engine: Weak<Shared>) -> Self {
+        Self {
+            answers: OnceLock::new(),
+            stage: AtomicU8::new(QUEUED),
+            waiters: Mutex::new(0),
+            answered: Condvar::new(),
+            engine,
+        }
+    }
+
+    /// The answer at `index`, waiting for it up to `timeout` (`None`:
+    /// without limit). A zero timeout only polls.
+    fn wait(
+        &self,
+        index: usize,
+        timeout: Option<Duration>,
+    ) -> Option<Result<ScoredResponse, DrcshapError>> {
+        if let Some(answers) = self.answers.get() {
+            return Some(answers.get(index));
+        }
+        if timeout == Some(Duration::ZERO) {
+            return None;
+        }
+        // A timeout past the clock's range waits without limit.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        self.flush_if_queued();
+        let mut waiters = self.waiters.lock().expect("slot lock poisoned");
+        *waiters += 1;
+        let answer = loop {
+            if let Some(answers) = self.answers.get() {
+                break Some(answers.get(index));
+            }
+            match deadline {
+                None => waiters = self.answered.wait(waiters).expect("slot lock poisoned"),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break None;
+                    }
+                    waiters = self
+                        .answered
+                        .wait_timeout(waiters, deadline - now)
+                        .expect("slot lock poisoned")
+                        .0;
+                }
+            }
+        };
+        *waiters -= 1;
+        answer
+    }
+
+    /// Marks a still-queued batch as waited on, so the next worker to look
+    /// at the queue flushes it, and wakes the worker sleeping on its
+    /// `max_wait` timer, if any.
+    fn flush_if_queued(&self) {
+        let marked = self.stage.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |stage| {
+            matches!(stage, QUEUED | TIMED).then_some(WAITED)
+        });
+        if marked != Ok(TIMED) {
+            return;
+        }
+        let Some(shared) = self.engine.upgrade() else { return };
+        // The sleeper marked the batch under the queue lock and holds the
+        // lock until its wait begins, so taking the lock here orders this
+        // wake-up after that wait began.
+        drop(shared.queue.lock().expect("queue lock poisoned"));
+        shared.flush.notify_one();
+    }
+
+    /// Publishes `answers` unless the slot already holds some, and wakes
+    /// every blocked caller.
+    fn publish(&self, answers: Answers) {
+        if self.answers.set(answers).is_err() {
+            return;
+        }
+        // A caller counts itself under this lock before it looks for the
+        // answers, so one that missed them is counted by now. Every update
+        // leaves the count valid, and `Batch::drop` calls this, so a
+        // poisoned lock is read through rather than panicked on.
+        let waiters = *self.waiters.lock().unwrap_or_else(PoisonError::into_inner);
+        if waiters > 0 {
+            self.answered.notify_all();
         }
     }
 }
 
-struct Pending {
-    x: Vec<f32>,
-    enqueued: Instant,
-    budget: StageBudget,
-    tx: mpsc::Sender<Result<ScoredResponse, DrcshapError>>,
+/// A batch's published outcome.
+enum Answers {
+    /// The worker scored the batch against `epoch`.
+    Published {
+        epoch: u64,
+        /// Rows scored (shed rows excluded).
+        batch_size: usize,
+        /// The epoch's feature count, for a wrong-length answer.
+        n_features: usize,
+        /// One answer per request, in ticket order.
+        rows: Vec<Answer>,
+    },
+    /// The batch was dropped unanswered.
+    Terminated,
+}
+
+/// One request's outcome within [`Answers::Published`].
+#[derive(Clone, Copy)]
+enum Answer {
+    Scored(f64),
+    DeadlineShed,
+    Cancelled,
+    WrongLength(usize),
+}
+
+impl Answers {
+    fn get(&self, index: usize) -> Result<ScoredResponse, DrcshapError> {
+        let Answers::Published { epoch, batch_size, n_features, rows } = self else {
+            return Err(DrcshapError::usage(
+                "serve engine dropped the request (worker terminated)",
+            ));
+        };
+        match rows[index] {
+            Answer::Scored(score) => {
+                Ok(ScoredResponse { score, epoch: *epoch, batch_size: *batch_size })
+            }
+            Answer::DeadlineShed => Err(DrcshapError::DeadlineExceeded { shard_untouched: false }),
+            Answer::Cancelled => Err(DrcshapError::Interrupted),
+            Answer::WrongLength(found) => {
+                Err(InputError::LengthMismatch { expected: *n_features, found }.into())
+            }
+        }
+    }
 }
 
 #[derive(Default)]
 struct QueueState {
-    items: VecDeque<Pending>,
+    /// Oldest first; every batch but the back one is full.
+    batches: VecDeque<Batch>,
+    /// Requests across `batches`.
+    len: usize,
     shutdown: bool,
 }
 
 struct Shared {
     config: ServeConfig,
     queue: Mutex<QueueState>,
-    /// Signalled on submission and shutdown; workers wait on it.
+    /// Signalled when a flush decision can change; workers wait on it.
     flush: Condvar,
     cell: EpochCell,
     metrics: MetricsRegistry,
@@ -300,9 +499,10 @@ impl ServeEngine {
             BudgetState::Cancelled => return Err(DrcshapError::Interrupted),
         }
         let x = self.shared.config.nan_policy.admit(x, Some(self.n_features()), true)?.into_owned();
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock poisoned");
+        let shared = &*self.shared;
+        let max_batch = shared.config.max_batch;
+        let (ticket, wake) = {
+            let mut q = shared.queue.lock().expect("queue lock poisoned");
             if q.shutdown {
                 // The drain flag is checked under the queue lock, so a
                 // submission racing `shutdown` either lands in the queue
@@ -310,18 +510,30 @@ impl ServeEngine {
                 // never a silent drop.
                 return Err(DrcshapError::ShuttingDown);
             }
-            if q.items.len() >= self.shared.config.queue_capacity {
-                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(DrcshapError::Overloaded {
-                    capacity: self.shared.config.queue_capacity,
-                });
+            if q.len >= shared.config.queue_capacity {
+                shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                return Err(DrcshapError::Overloaded { capacity: shared.config.queue_capacity });
             }
-            q.items.push_back(Pending { x, enqueued: Instant::now(), budget, tx });
-            self.shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            self.shared.metrics.queue_depth.store(q.items.len() as u64, Ordering::Relaxed);
+            let was_empty = q.batches.is_empty();
+            if q.batches.back().is_none_or(|back| back.requests.len() == max_batch) {
+                let slot = Arc::new(Slot::new(Arc::downgrade(&self.shared)));
+                q.batches.push_back(Batch { requests: Vec::new(), slot });
+            }
+            let back = q.batches.back_mut().expect("a back batch was just ensured");
+            back.requests.push(Request { x, enqueued: Instant::now(), budget });
+            let ticket = Ticket { slot: Arc::clone(&back.slot), index: back.requests.len() - 1 };
+            let filled = back.requests.len() == max_batch;
+            q.len += 1;
+            shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.queue_depth.store(q.len as u64, Ordering::Relaxed);
+            (ticket, was_empty || filled)
+        };
+        // Any other submission changes no worker's flush decision: the
+        // queue already had a front batch, and no batch filled.
+        if wake {
+            shared.flush.notify_one();
         }
-        self.shared.flush.notify_one();
-        Ok(Ticket { rx })
+        Ok(ticket)
     }
 
     /// Submits `x` and blocks for the response —
@@ -592,108 +804,111 @@ impl Drop for ServeEngine {
     }
 }
 
-/// One worker: wait for a flush condition, drain up to `max_batch`
-/// requests, score them against a single model epoch, respond newest
-/// first.
+/// One worker: take the front batch once a flush condition holds, score
+/// it against a single model epoch, publish its answers.
 fn worker_loop(shared: &Shared) {
-    loop {
-        let batch = {
-            let mut q = shared.queue.lock().expect("queue lock poisoned");
-            loop {
-                if q.shutdown || q.items.len() >= shared.config.max_batch {
-                    break;
-                }
-                match q.items.front() {
-                    Some(front) => {
-                        let age = front.enqueued.elapsed();
-                        if age >= shared.config.max_wait {
-                            break;
-                        }
-                        let (guard, _) = shared
-                            .flush
-                            .wait_timeout(q, shared.config.max_wait - age)
-                            .expect("queue lock poisoned");
-                        q = guard;
-                    }
-                    None => {
-                        q = shared.flush.wait(q).expect("queue lock poisoned");
-                    }
-                }
-            }
-            if q.items.is_empty() {
-                if q.shutdown {
-                    return;
-                }
-                continue;
-            }
-            let take = q.items.len().min(shared.config.max_batch);
-            let batch: Vec<Pending> = q.items.drain(..take).collect();
-            shared.metrics.queue_depth.store(q.items.len() as u64, Ordering::Relaxed);
-            // More than a batch left (burst): hand the rest to a peer.
-            if !q.items.is_empty() {
-                shared.flush.notify_one();
-            }
-            batch
-        };
+    while let Some(batch) = next_batch(shared) {
+        flush(shared, batch);
+    }
+}
 
-        let model = shared.cell.load();
-        let m = model.compiled.n_features();
-        let mut flat = Vec::with_capacity(batch.len() * m);
-        let mut accepted = Vec::with_capacity(batch.len());
-        for pending in batch {
+/// Blocks until the front batch is due — full, `max_wait` old, waited on,
+/// or shutting down — and takes it; `None` once shutdown has drained the
+/// queue.
+fn next_batch(shared: &Shared) -> Option<Batch> {
+    let config = &shared.config;
+    let mut q = shared.queue.lock().expect("queue lock poisoned");
+    loop {
+        let Some(front) = q.batches.front() else {
+            if q.shutdown {
+                return None;
+            }
+            q = shared.flush.wait(q).expect("queue lock poisoned");
+            continue;
+        };
+        let age = front.requests[0].enqueued.elapsed();
+        if q.shutdown || front.requests.len() == config.max_batch || age >= config.max_wait {
+            break;
+        }
+        // Mark the timed sleep, unless a caller already waits on the batch.
+        // The mark is made under the queue lock, which the wait releases
+        // only once it has begun (`Slot::flush_if_queued`).
+        let stage = &front.slot.stage;
+        if stage.compare_exchange(QUEUED, TIMED, Ordering::Relaxed, Ordering::Relaxed)
+            == Err(WAITED)
+        {
+            break;
+        }
+        q = shared.flush.wait_timeout(q, config.max_wait - age).expect("queue lock poisoned").0;
+    }
+    let batch = q.batches.pop_front().expect("the front batch was just checked");
+    batch.slot.stage.store(TAKEN, Ordering::Relaxed);
+    q.len -= batch.requests.len();
+    shared.metrics.queue_depth.store(q.len as u64, Ordering::Relaxed);
+    // More batches queued (burst): hand them to a peer.
+    if !q.batches.is_empty() {
+        shared.flush.notify_one();
+    }
+    Some(batch)
+}
+
+/// Scores `batch` against the epoch loaded now and publishes every answer
+/// at once.
+fn flush(shared: &Shared, batch: Batch) {
+    let metrics = &shared.metrics;
+    let model = shared.cell.load();
+    let m = model.compiled.n_features();
+    let mut flat = Vec::with_capacity(batch.requests.len() * m);
+    let mut rows: Vec<Answer> = batch
+        .requests
+        .iter()
+        .map(|request| {
             // Shed-before-work: a request whose budget was exhausted while
             // it sat in the queue gets its typed error now, before a single
             // tree is walked — under overload, stale requests cost nothing.
-            match pending.budget.check() {
+            match request.budget.check() {
                 BudgetState::Within => {}
                 BudgetState::DeadlineExpired => {
-                    shared.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = pending
-                        .tx
-                        .send(Err(DrcshapError::DeadlineExceeded { shard_untouched: false }));
-                    continue;
+                    metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
+                    return Answer::DeadlineShed;
                 }
                 BudgetState::Cancelled => {
-                    shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                    let _ = pending.tx.send(Err(DrcshapError::Interrupted));
-                    continue;
+                    metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+                    return Answer::Cancelled;
                 }
             }
             // Length is validated at submit and swaps preserve the feature
             // count, so this arm is unreachable; kept so a future invariant
             // break degrades to a typed error instead of a panic.
-            if pending.x.len() == m {
-                flat.extend_from_slice(&pending.x);
-                accepted.push(pending);
-            } else {
-                let _ = pending.tx.send(Err(InputError::LengthMismatch {
-                    expected: m,
-                    found: pending.x.len(),
-                }
-                .into()));
+            if request.x.len() != m {
+                return Answer::WrongLength(request.x.len());
             }
-        }
-        if accepted.is_empty() {
-            continue;
-        }
+            flat.extend_from_slice(&request.x);
+            Answer::Scored(f64::NAN)
+        })
+        .collect();
+    let batch_size = rows.iter().filter(|row| matches!(row, Answer::Scored(_))).count();
+    if batch_size > 0 {
         let scores = {
             let _flush_span =
-                telemetry::span_with("serve/flush", || format!("{} samples", accepted.len()));
+                telemetry::span_with("serve/flush", || format!("{batch_size} samples"));
             model.score_batch(&flat, shared.config.nan_policy == NanPolicy::NanAware)
         };
-        let batch_size = accepted.len();
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.samples.fetch_add(batch_size as u64, Ordering::Relaxed);
+        metrics.batches.fetch_add(1, Ordering::Relaxed);
+        metrics.samples.fetch_add(batch_size as u64, Ordering::Relaxed);
         telemetry::counter("serve/batches", 1);
         telemetry::counter("serve/samples", batch_size as u64);
-        // Newest first: a client waiting on its oldest ticket wakes once,
-        // after every other response of the batch is already sent.
-        let mut latency = shared.metrics.latency.lock().expect("latency lock poisoned");
-        for (pending, score) in accepted.into_iter().zip(scores).rev() {
-            latency.insert(pending.enqueued.elapsed().as_nanos() as f64);
-            let _ = pending.tx.send(Ok(ScoredResponse { score, epoch: model.epoch, batch_size }));
+        let now = Instant::now();
+        let mut latency = metrics.latency.lock().expect("latency lock poisoned");
+        let mut scores = scores.into_iter();
+        for (row, request) in rows.iter_mut().zip(&batch.requests) {
+            if let Answer::Scored(score) = row {
+                *score = scores.next().expect("one score per scored row");
+                latency.insert(now.saturating_duration_since(request.enqueued).as_nanos() as f64);
+            }
         }
     }
+    batch.slot.publish(Answers::Published { epoch: model.epoch, batch_size, n_features: m, rows });
 }
 
 #[cfg(test)]
@@ -921,6 +1136,33 @@ mod tests {
         let budget = StageBudget::unlimited().cancelled_by(token);
         let e = engine.submit_with_budget(vec![0.5, 0.5], budget).unwrap_err();
         assert!(matches!(e, DrcshapError::Interrupted), "{e}");
+    }
+
+    #[test]
+    fn a_batch_dropped_unanswered_answers_its_tickets_with_worker_terminated() {
+        // What a worker panicking mid-flush leaves behind: its batch is
+        // dropped during the unwind, unanswered.
+        let slot = Arc::new(Slot::new(Weak::new()));
+        let request = || Request {
+            x: vec![0.5, 0.5],
+            enqueued: Instant::now(),
+            budget: StageBudget::default(),
+        };
+        let batch = Batch { requests: vec![request(), request()], slot: Arc::clone(&slot) };
+        let blocked = Ticket { slot: Arc::clone(&slot), index: 0 };
+        let polled = Ticket { slot, index: 1 };
+        let waiter = std::thread::spawn(move || blocked.wait());
+        assert!(polled.wait_for(Duration::from_millis(20)).is_none(), "nothing published yet");
+        drop(batch);
+        let answers = [
+            waiter.join().expect("the blocked caller returns"),
+            polled.wait_for(Duration::ZERO).expect("answered by the drop"),
+        ];
+        for answer in answers {
+            let e = answer.unwrap_err();
+            assert!(matches!(e, DrcshapError::Input(InputError::Usage(_))), "{e}");
+            assert!(e.to_string().contains("worker terminated"), "{e}");
+        }
     }
 
     #[test]

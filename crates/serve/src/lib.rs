@@ -7,10 +7,11 @@
 //!   model, walking eight trees of a row in lockstep, with scores
 //!   bit-identical to the reference `RandomForest::predict_proba` /
 //!   `predict_proba_nan_aware`.
-//! - [`ServeEngine`] — a bounded request queue with micro-batching
-//!   (flush at `max_batch` or `max_wait`), a worker pool, typed
-//!   backpressure ([`drcshap_ml::DrcshapError::Overloaded`]) when the
-//!   queue is full, and graceful shutdown that drains in-flight work.
+//! - [`ServeEngine`] — a bounded queue of micro-batches formed at
+//!   submission (flushed when full, `max_wait` old, or waited on), a
+//!   worker pool, one answer slot per batch, typed backpressure
+//!   ([`drcshap_ml::DrcshapError::Overloaded`]) when the queue is full,
+//!   and graceful shutdown that drains in-flight work.
 //! - [`ExplanationCache`] — a thread-safe LRU cache of SHAP explanations
 //!   keyed by the exact bit patterns of the feature vector; a hit skips
 //!   the tree-walk entirely.

@@ -1,15 +1,21 @@
 //! Engine-level integration tests: backpressure at queue capacity,
-//! graceful shutdown draining every accepted request, hot model swap under
-//! concurrent load (every response scored by exactly one model epoch, no
-//! request dropped or mixed), and the explanation cache short-circuiting
-//! repeat lookups.
+//! graceful shutdown draining every accepted request, a blocked caller
+//! flushing its batch, every interleaving of budgets and client waits
+//! answered exactly once, hot model swap under concurrent load (every
+//! response scored by exactly one model epoch, no request dropped or
+//! mixed), and the explanation cache short-circuiting repeat lookups.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use drcshap_forest::{RandomForest, RandomForestTrainer};
+use drcshap_geom::{CancelToken, StageBudget};
 use drcshap_ml::{Dataset, DrcshapError, NanPolicy, SchemaError, Trainer};
 use drcshap_serve::{ServeConfig, ServeEngine};
+use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 const N_FEATURES: usize = 3;
 
@@ -129,6 +135,133 @@ fn waiting_on_the_oldest_ticket_finds_the_whole_batch_answered() {
         }
     }
     assert_eq!(engine.metrics().batches_total, ROUNDS as u64);
+}
+
+/// `n` distinct probe rows.
+fn probes(n: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| (0..N_FEATURES).map(|j| (((i * 13 + j * 29) % 23) as f32) / 23.0).collect())
+        .collect()
+}
+
+/// A caller blocked on a ticket flushes its batch at once, where the
+/// frozen config's timer would hold the batch for an hour; a zero-timeout
+/// poll does not.
+#[test]
+fn a_blocked_caller_flushes_a_partial_batch() {
+    let rf = forest(1);
+    let engine = ServeEngine::start(frozen_config(8), rf.clone(), 7).expect("start");
+    let probes = probes(3);
+    let tickets: Vec<_> =
+        probes.iter().map(|p| engine.submit(p.clone()).expect("within capacity")).collect();
+    assert!(tickets[0].wait_for(Duration::ZERO).is_none(), "a poll must not flush");
+    assert_eq!(engine.metrics().queue_depth, 3);
+    let first = tickets[0]
+        .wait_for(Duration::from_secs(10))
+        .expect("the blocked caller flushes its batch")
+        .expect("scored");
+    assert_eq!(first.batch_size, 3);
+    for (ticket, probe) in tickets.iter().zip(&probes) {
+        let response =
+            ticket.wait_for(Duration::ZERO).expect("answered with ticket 0").expect("scored");
+        assert_eq!(response.score.to_bits(), rf.predict_proba(probe).to_bits());
+        assert_eq!(response.batch_size, 3);
+    }
+    let metrics = engine.metrics();
+    assert_eq!((metrics.batches_total, metrics.queue_depth), (1, 0));
+}
+
+/// How the client treats one ticket in the interleaving property.
+const WAIT: u8 = 0;
+const POLL_THEN_WAIT: u8 = 1;
+const WAIT_FOR: u8 = 2;
+const DROP: u8 = 3;
+
+/// The longest any wait in the interleaving property may block.
+const WAIT_CAP: Duration = Duration::from_secs(10);
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Any pool size, batch size and timer; budgets that stay within,
+    /// expire while queued, or are cancelled; tickets waited on in any
+    /// order, polled first, or dropped. Every waited ticket answers within
+    /// 10 s with `predict_proba`'s bits or its budget's typed error, and
+    /// the metrics count each accepted request once as scored, shed or
+    /// cancelled.
+    #[test]
+    fn every_accepted_request_is_answered_once_in_any_interleaving(
+        workers in 1usize..=3,
+        max_batch in 1usize..=8,
+        timer in any::<bool>(),
+        requests in prop::collection::vec((0u8..3, 0u8..4, 0usize..8), 1..40),
+        order_seed in any::<u64>(),
+    ) {
+        let rf = forest(3);
+        let probes = probes(8);
+        let config = ServeConfig {
+            max_batch,
+            max_wait: if timer { Duration::from_secs(3600) } else { Duration::ZERO },
+            workers,
+            ..frozen_config(64)
+        };
+        let engine = ServeEngine::start(config, rf.clone(), 7).expect("start");
+        let cancel = CancelToken::new();
+        let mut tickets = Vec::new();
+        let mut shed_at_admission = 0;
+        for (i, &(budget, _, probe)) in requests.iter().enumerate() {
+            let budget = match budget {
+                0 => StageBudget::unlimited(),
+                1 => StageBudget::with_deadline(Duration::from_micros(300)),
+                _ => StageBudget::unlimited().cancelled_by(cancel.clone()),
+            };
+            match engine.submit_with_budget(probes[probe].clone(), budget) {
+                Ok(ticket) => tickets.push((i, ticket)),
+                Err(DrcshapError::DeadlineExceeded { shard_untouched: true }) => {
+                    shed_at_admission += 1;
+                }
+                Err(e) => prop_assert!(false, "request {i} refused: {e}"),
+            }
+        }
+        let accepted = tickets.len() as u64;
+        // Expire the short deadlines and fire the token while requests may
+        // still be queued.
+        std::thread::sleep(Duration::from_millis(1));
+        cancel.cancel();
+        tickets.shuffle(&mut ChaCha8Rng::seed_from_u64(order_seed));
+        for (i, ticket) in tickets {
+            let (budget, client, probe) = requests[i];
+            let started = Instant::now();
+            let answer = match client {
+                WAIT => Some(ticket.wait()),
+                POLL_THEN_WAIT => ticket.wait_for(Duration::ZERO).or_else(|| ticket.wait_for(WAIT_CAP)),
+                WAIT_FOR => ticket.wait_for(WAIT_CAP),
+                DROP => continue,
+                _ => unreachable!("client actions are drawn from 0..4"),
+            };
+            prop_assert!(started.elapsed() <= WAIT_CAP, "request {i} waited {:?}", started.elapsed());
+            let Some(answer) = answer else {
+                return Err(TestCaseError::fail(format!("request {i} unanswered after {WAIT_CAP:?}")));
+            };
+            match (budget, answer) {
+                (_, Ok(response)) => {
+                    prop_assert_eq!(response.score.to_bits(), rf.predict_proba(&probes[probe]).to_bits());
+                    prop_assert!((1..=max_batch).contains(&response.batch_size));
+                }
+                (1, Err(DrcshapError::DeadlineExceeded { shard_untouched: false })) => {}
+                (2, Err(DrcshapError::Interrupted)) => {}
+                (_, Err(e)) => prop_assert!(false, "request {i} with budget {budget}: {e}"),
+            }
+        }
+        engine.shutdown();
+        let m = engine.metrics();
+        prop_assert_eq!(m.requests_total, accepted);
+        prop_assert_eq!(
+            m.samples_scored + (m.deadline_shed_total - shed_at_admission) + m.cancelled_total,
+            accepted
+        );
+        prop_assert_eq!((m.queue_depth, m.rejected_total), (0, 0));
+    }
 }
 
 #[test]

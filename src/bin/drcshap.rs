@@ -1034,10 +1034,25 @@ fn cmd_resume(args: &[String]) -> Result<(), DrcshapError> {
             .into());
         }
     }
+    // The designs the run was started with, not the whole suite.
+    let specs = manifest
+        .designs
+        .iter()
+        .map(|design| {
+            suite::spec(&design.name).ok_or_else(|| {
+                DrcshapError::from(PipelineError::ManifestMismatch {
+                    detail: format!(
+                        "the run lists design {:?}, which the suite lacks",
+                        design.name
+                    ),
+                })
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let pipeline = PipelineConfig { scale: manifest.scale, ..Default::default() };
     let mut sup = SupervisorConfig::new(pipeline, dir);
     sup.stage_deadline = deadline;
-    run_and_report(&suite::all_specs(), &sup)
+    run_and_report(&specs, &sup)
 }
 
 fn cmd_predict(args: &[String]) -> Result<(), DrcshapError> {

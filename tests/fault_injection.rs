@@ -411,3 +411,39 @@ fn cli_run_with_a_failed_design_reports_it_then_exits_1() {
     assert!(stderr.contains("run incomplete: 0 of 1 designs completed"), "{stderr}");
     cleanup(&sup);
 }
+
+/// The `feature digest` line `drcshap` prints for `args`.
+fn cli_feature_digest(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_drcshap"))
+        .args(args)
+        .output()
+        .expect("run drcshap");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stdout}{stderr}");
+    let line = stdout.lines().find(|l| l.starts_with("feature digest")).expect("digest line");
+    line.to_owned()
+}
+
+#[test]
+fn cli_resume_builds_the_designs_its_manifest_lists() {
+    let sup = sup_config("cli-resume");
+    let dir = sup.run_dir.to_str().expect("a UTF-8 temp path");
+    let run = cli_feature_digest(&["run", dir, "0.05", "--design", "fft_1"]);
+    assert!(run.ends_with("over 1 completed designs"), "{run}");
+    let resumed = cli_feature_digest(&["resume", dir]);
+    assert_eq!(resumed, run);
+
+    // A manifest naming a design the suite lacks is a typed mismatch.
+    let manifest = sup.run_dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    std::fs::write(&manifest, text.replace("\"fft_1\"", "\"no_such_design\"")).expect("edit");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_drcshap"))
+        .args(["resume", dir])
+        .output()
+        .expect("run drcshap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no_such_design"), "{stderr}");
+    cleanup(&sup);
+}

@@ -1,6 +1,6 @@
 //! Degenerate-input and boundary robustness across the whole stack: clean
-//! designs, minimum-size grids, DEF round-trips of pipeline output, and
-//! macro-blocked g-cells.
+//! designs, minimum-size grids, DEF round-trips of pipeline output, bad
+//! DEF input rejected at its line, and macro-blocked g-cells.
 
 use drcshap::core::pipeline::{build_design, PipelineConfig};
 use drcshap::forest::RandomForestTrainer;
@@ -76,6 +76,33 @@ fn def_whose_die_differs_from_the_spec_is_rejected_at_its_line() {
     let e = read_def(&text.replace(&area, &doubled), bundle.design.spec.clone()).unwrap_err();
     assert_eq!(e.line, line, "{e}");
     assert!(e.message.contains("DIEAREA"), "{e}");
+}
+
+#[test]
+fn def_with_a_bad_component_size_is_rejected_at_its_line() {
+    let config = PipelineConfig { scale: 0.1, ..Default::default() };
+    let bundle = build_design(&suite::spec("fft_1").unwrap(), &config);
+    let text = write_def(&bundle.design);
+    let lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("- cell_")).expect("a cell line");
+    let toks: Vec<&str> = lines[at].split_whitespace().collect();
+    let (name, kind) = (toks[1], &toks[2][..3]);
+    let max = i64::MAX;
+    for (component, expect) in [
+        // Sizes that are not positive.
+        ("- macro_99 BLOCK_-5x3 + FIXED ( 0 0 ) N ;".to_owned(), "bad macro dims"),
+        (format!("- {name} {kind}4x-8 + PLACED ( 0 0 ) N ;"), "bad cell dims"),
+        (format!("- {name} {kind}0x8 + PLACED ( 0 0 ) N ;"), "bad cell dims"),
+        // A far corner past the coordinate range.
+        (format!("- macro_99 BLOCK_5x3 + FIXED ( {max} 0 ) N ;"), "coordinate range"),
+        (format!("- {name} {kind}4x8 + PLACED ( 0 {max} ) N ;"), "coordinate range"),
+    ] {
+        let mut edited = lines.clone();
+        edited[at] = &component;
+        let e = read_def(&edited.join("\n"), bundle.design.spec.clone()).unwrap_err();
+        assert_eq!(e.line, at + 1, "{component}: {e}");
+        assert!(e.message.contains(expect), "{component}: {e}");
+    }
 }
 
 #[test]
