@@ -149,10 +149,10 @@ fn main() -> ExitCode {
     // One slow shard: 5ms of injected response latency on shard 0. Hedged
     // requests (armed at 2ms) must keep its keys flowing through backups.
     gateway.set_shard_delay(0, Duration::from_millis(5)).expect("slow injection");
-    let hedges_before = gateway.metrics().hedges_total;
+    let hedges_before = gateway.metrics().counts["gateway/hedges"];
     let slow = run_phase(&gateway, &probes, &expected, clients, secs);
-    let metrics = gateway.metrics();
-    let hedges = metrics.hedges_total - hedges_before;
+    let counts = gateway.metrics().counts;
+    let hedges = counts["gateway/hedges"] - hedges_before;
     gateway.shutdown();
 
     eprintln!(
@@ -175,7 +175,7 @@ fn main() -> ExitCode {
             "p50_us": slow.p50_us,
             "p99_us": slow.p99_us,
             "hedges": hedges,
-            "hedge_wins": metrics.hedge_wins_total,
+            "hedge_wins": counts["gateway/hedge_wins"],
         },
         "bit_identical": true,
     });

@@ -13,7 +13,8 @@
 //! cargo run --release -p drcshap-bench --bin serve_bench [-- --out BENCH_serve.json]
 //! # CI regression gate against a committed baseline
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --gate BENCH_serve.json
-//! # record the engine's flush and `kernel/compiled` spans as a Chrome trace
+//! # record the engine's `kernel/compiled` spans as a Chrome trace, and
+//! # print the `--stats` document
 //! cargo run --release -p drcshap-bench --bin serve_bench -- --trace serve.json --stats
 //! ```
 //!
@@ -201,8 +202,8 @@ fn main() -> ExitCode {
         eprintln!("wrote Chrome trace to {path}");
     }
     if stats {
-        let summary = telemetry::hub().summary();
-        eprintln!("{}", serde_json::to_string_pretty(&summary).expect("summary serialize"));
+        let metrics = serde_json::to_value(&metrics).expect("metrics serialize");
+        eprintln!("{}", telemetry::hub().stats_line(Some(metrics)));
     }
     let report = serde_json::json!({
         "trees": n_trees,
@@ -217,8 +218,9 @@ fn main() -> ExitCode {
         "nan_aware_batch_per_s": nan_tp,
         "engine_per_s": engine_tp,
         "speedup_compiled_vs_single": speedup,
-        "engine_mean_batch": metrics.mean_batch,
-        "engine_latency_p99_us": metrics.latency_p99_us,
+        "engine_mean_batch":
+            metrics.counts["serve/samples"] as f64 / metrics.counts["serve/batches"] as f64,
+        "engine_latency_p99_us": metrics.latency.p99_us,
         "explain_rows": explain_rows.len(),
         "explain_per_s": explain_tp,
         "explain_max_gap": explain_max_gap,

@@ -34,8 +34,6 @@ pub(crate) struct ShardHealth {
     /// 0 = breaker closed; otherwise the gateway-clock nanosecond at
     /// which a half-open probe may pass.
     open_until_ns: AtomicU64,
-    /// Times the breaker transitioned closed -> open.
-    opens: AtomicU64,
     /// Operator/chaos kill switch: a killed shard never takes traffic.
     killed: AtomicBool,
 }
@@ -73,17 +71,14 @@ impl ShardHealth {
     }
 
     /// Records a retryable failure; returns `true` when this failure
-    /// newly tripped the breaker open.
+    /// newly tripped the breaker open (the gateway counts the trip).
     pub(crate) fn observe_failure(&self, now_ns: u64) -> bool {
         let failures = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
         if failures >= FAILURE_THRESHOLD {
             let cooloff = BREAKER_COOLOFF.as_nanos() as u64;
             // 0 is reserved for "closed", so an open deadline is always >= 1.
             let until = now_ns.saturating_add(cooloff).max(1);
-            if self.open_until_ns.swap(until, Ordering::Relaxed) == 0 {
-                self.opens.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
+            return self.open_until_ns.swap(until, Ordering::Relaxed) == 0;
         }
         false
     }
@@ -101,10 +96,6 @@ impl ShardHealth {
     pub(crate) fn breaker_open(&self, now_ns: u64) -> bool {
         let open_until = self.open_until_ns.load(Ordering::Relaxed);
         open_until != 0 && now_ns < open_until
-    }
-
-    pub(crate) fn breaker_opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
     }
 
     pub(crate) fn consecutive_failures(&self) -> u32 {
@@ -131,12 +122,11 @@ mod tests {
         assert!(!health.available(500), "open breaker blocks routing");
         assert!(!health.available(cooloff - 1), "still open just before the cooloff ends");
         assert!(health.breaker_open(500));
-        assert_eq!(health.breaker_opens(), 1);
         // After the cooloff the shard is half-open: routable for a probe.
         assert!(health.available(cooloff + 500));
         assert!(!health.breaker_open(cooloff + 500));
-        // A failed probe re-opens (already counted open, not a new open).
-        health.observe_failure(cooloff + 500);
+        // A failed probe re-opens, but is not a new trip.
+        assert!(!health.observe_failure(cooloff + 500), "a half-open re-open counted twice");
         assert!(!health.available(cooloff + 600));
         // A success closes everything.
         health.observe_success(Duration::from_micros(100));

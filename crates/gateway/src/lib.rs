@@ -54,20 +54,19 @@ use drcshap_core::SavedModel;
 use drcshap_forest::RandomForest;
 use drcshap_geom::StageBudget;
 use drcshap_ml::DrcshapError;
-use drcshap_serve::{ScoredResponse, ServeConfig, ServeEngine, ServeMetrics, Ticket};
+use drcshap_serve::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
 use drcshap_shap::Explanation;
 use drcshap_store::fnv1a64;
-use drcshap_telemetry as telemetry;
+use drcshap_telemetry::{self as telemetry, Latency};
 use drcshap_xsat::{AbductiveExplanation, XsatBudget};
 
 pub use admission::{Priority, QuotaConfig};
-pub use metrics::{GatewayMetrics, ShardStatus};
+pub use metrics::{GatewayCounters, GatewayMetrics, ShardStatus};
 pub use rollout::RolloutReport;
 pub use routing::HashRing;
 
 use admission::Admission;
 use health::ShardHealth;
-use metrics::GatewayRegistry;
 
 /// Polling slice while a request is hedged across two shards.
 const HEDGE_POLL: Duration = Duration::from_micros(200);
@@ -252,7 +251,9 @@ pub struct Gateway {
     pub(crate) shards: Vec<Shard>,
     ring: HashRing,
     admission: Admission,
-    pub(crate) metrics: GatewayRegistry,
+    pub(crate) counters: GatewayCounters,
+    /// End-to-end latency per completed request, in nanoseconds.
+    latency: Latency,
     /// Serializes staged rollouts; concurrent scoring is unaffected.
     pub(crate) rollout_lock: Mutex<()>,
     /// Epoch of the gateway's monotonic clock (`now_ns` is relative to it).
@@ -296,7 +297,8 @@ impl Gateway {
             shards,
             ring,
             admission,
-            metrics: GatewayRegistry::default(),
+            counters: GatewayCounters::default(),
+            latency: Latency::default(),
             rollout_lock: Mutex::new(()),
             start: Instant::now(),
             config,
@@ -355,12 +357,11 @@ impl Gateway {
     /// the engine's input-validation errors.
     pub fn score(&self, request: Request) -> Result<GatewayResponse, DrcshapError> {
         let _span = telemetry::span("gateway/score");
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.add(1);
         let t0 = Instant::now();
         let tenant = request.tenant.as_deref().unwrap_or("default");
         if !self.admission.admit(tenant, request.priority, t0) {
-            self.metrics.shed_quota.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("gateway/shed_quota", 1);
+            self.counters.shed_quota.add(1);
             return Err(DrcshapError::Overloaded { capacity: self.admission.capacity() });
         }
         let deadline = request
@@ -370,8 +371,7 @@ impl Gateway {
         // routing work, no queue slot, and no scoring — the response
         // carries the shard-untouched marker to prove it.
         if deadline.is_some_and(|d| t0 >= d) {
-            self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("gateway/shed_deadline", 1);
+            self.counters.shed_deadline.add(1);
             return Err(DrcshapError::DeadlineExceeded { shard_untouched: true });
         }
         let budget = match deadline {
@@ -388,7 +388,7 @@ impl Gateway {
         let mut last_err: Option<DrcshapError> = None;
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                self.counters.shed_deadline.add(1);
                 return Err(DrcshapError::DeadlineExceeded { shard_untouched: attempts == 0 });
             }
             let now_ns = self.now_ns();
@@ -397,20 +397,19 @@ impl Gateway {
             else {
                 // Every shard is killed or breaker-open: the fleet as a
                 // whole is (transiently) over capacity.
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.errors.add(1);
                 return Err(last_err.unwrap_or(DrcshapError::Overloaded { capacity: order.len() }));
             };
             pos = (pos + step) % order.len();
             let shard = order[pos];
             if shard != order[0] {
-                self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+                self.counters.failovers.add(1);
             }
             attempts += 1;
             match self.attempt(shard, &order, pos, &request.x, &budget) {
                 Ok((scored, winner, hedged)) => {
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    let elapsed_ns = t0.elapsed().as_nanos() as f64;
-                    self.metrics.latency.lock().expect("latency lock poisoned").insert(elapsed_ns);
+                    self.counters.completed.add(1);
+                    self.latency.lock().insert(t0.elapsed().as_nanos() as f64);
                     return Ok(GatewayResponse {
                         score: scored.score,
                         epoch: scored.epoch,
@@ -423,15 +422,14 @@ impl Gateway {
                 Err(e) => {
                     if !e.is_retryable() || attempts >= max_attempts {
                         if matches!(e, DrcshapError::DeadlineExceeded { .. }) {
-                            self.metrics.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                            self.counters.shed_deadline.add(1);
                         } else {
-                            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                            self.counters.errors.add(1);
                         }
                         return Err(e);
                     }
                     last_err = Some(e);
-                    self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("gateway/retries", 1);
+                    self.counters.retries.add(1);
                     // Fail over: resume the ring walk at the next shard.
                     pos = (pos + 1) % order.len();
                     let mut pause = backoff;
@@ -532,8 +530,7 @@ impl Gateway {
                     return ticket.wait().map(|scored| (scored, primary, false));
                 }
             };
-        self.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("gateway/hedges", 1);
+        self.counters.hedges.add(1);
         let backup_started = Instant::now();
         let backup_visible = backup_started + self.shard_delay(backup);
         // Phase 3: race the two tickets; first answer wins.
@@ -553,7 +550,7 @@ impl Gateway {
                             self.note_shard_error(primary, &e);
                             sleep_until(backup_visible);
                             return hedge_ticket.wait().map(|scored| {
-                                self.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                                self.counters.hedge_wins.add(1);
                                 (scored, backup, true)
                             });
                         }
@@ -564,8 +561,7 @@ impl Gateway {
                 if let Some(result) = hedge_ticket.wait_for(HEDGE_POLL) {
                     match result {
                         Ok(scored) => {
-                            self.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter("gateway/hedge_wins", 1);
+                            self.counters.hedge_wins.add(1);
                             return Ok((scored, backup, true));
                         }
                         Err(e) => {
@@ -584,7 +580,7 @@ impl Gateway {
     /// client deadlines say nothing about the shard itself.
     fn note_shard_error(&self, shard: usize, e: &DrcshapError) {
         if e.is_retryable() && self.shards[shard].health.observe_failure(self.now_ns()) {
-            telemetry::counter("gateway/breaker_opens", 1);
+            self.counters.breaker_opens.add(1);
         }
     }
 
@@ -656,8 +652,8 @@ impl Gateway {
             Ok(abductive) => {
                 Ok(BothExplanations { shap, abductive: Some(abductive), degraded: None, shard })
             }
+            // Counted once, by the shard engine's `serve/abductive_timeouts`.
             Err(DrcshapError::ExplanationTimeout { conflicts, sat_calls }) => {
-                telemetry::counter("gateway/abductive_degraded", 1);
                 Ok(BothExplanations {
                     shap,
                     abductive: None,
@@ -683,7 +679,7 @@ impl Gateway {
             .ok_or_else(|| DrcshapError::usage(format!("gateway has no shard {shard}")))?;
         s.health.kill();
         s.engine.shutdown();
-        telemetry::counter("gateway/shards_killed", 1);
+        self.counters.shards_killed.add(1);
         Ok(())
     }
 
@@ -716,13 +712,12 @@ impl Gateway {
                 available: s.health.available(now_ns),
                 killed: s.health.is_killed(),
                 breaker_open: s.health.breaker_open(now_ns),
-                breaker_opens: s.health.breaker_opens(),
                 consecutive_failures: s.health.consecutive_failures(),
                 ewma_latency_us: s.health.ewma_latency_us(),
                 engine: s.engine.metrics(),
             })
             .collect();
-        self.metrics.snapshot(shards)
+        GatewayMetrics { counts: self.counters.counts(), latency: self.latency.quantiles(), shards }
     }
 
     /// Merges every shard's analytics snapshot into a fleet view, one
@@ -752,18 +747,6 @@ impl Gateway {
                 merge_fleet(&members).expect("same-provenance snapshots must merge")
             })
             .collect()
-    }
-
-    /// One shard's engine metrics (bounds-checked convenience).
-    ///
-    /// # Errors
-    ///
-    /// A usage error for an out-of-range shard index.
-    pub fn shard_metrics(&self, shard: usize) -> Result<ServeMetrics, DrcshapError> {
-        self.shards
-            .get(shard)
-            .map(|s| s.engine.metrics())
-            .ok_or_else(|| DrcshapError::usage(format!("gateway has no shard {shard}")))
     }
 
     /// Drains every shard engine. Idempotent; also run on drop. Requests
@@ -848,7 +831,7 @@ mod tests {
     fn a_default_deadline_past_the_clock_range_means_none() {
         let gateway = small_gateway(Some(Duration::MAX));
         assert_eq!(gateway.score(Request::new(vec![0.4, 0.6])).expect("scored").attempts, 1);
-        assert_eq!(gateway.metrics().shed_deadline_total, 0);
+        assert_eq!(gateway.metrics().counts["gateway/shed_deadline"], 0);
     }
 
     #[test]

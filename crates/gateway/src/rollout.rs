@@ -15,7 +15,6 @@
 //! The `inject-shap-fault` feature flips one expected score bit in the
 //! reference digest so CI can drill the rollback path end to end.
 
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use drcshap_core::artifact::Crc32;
@@ -69,7 +68,7 @@ impl Gateway {
     ) -> Result<RolloutReport, DrcshapError> {
         let _guard = self.rollout_lock.lock().expect("rollout lock poisoned");
         let _span = telemetry::span("gateway/rollout");
-        self.metrics.rollouts.fetch_add(1, Ordering::Relaxed);
+        self.counters.rollouts.add(1);
         let now_ns = self.now_ns();
         let canary = (0..self.shards.len())
             .find(|&s| self.shards[s].health.available(now_ns))
@@ -119,7 +118,7 @@ impl Gateway {
                 }
             }
         }
-        telemetry::counter("gateway/rollouts_completed", 1);
+        self.counters.rollouts_completed.add(1);
         Ok(RolloutReport {
             canary_shard: canary,
             canary_probes: probes.len(),
@@ -225,8 +224,7 @@ impl Gateway {
                 .swap(forest.clone(), *fingerprint)
                 .expect("rollback swap preserves identity");
         }
-        self.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter("gateway/rollbacks", 1);
+        self.counters.rollbacks.add(1);
     }
 }
 

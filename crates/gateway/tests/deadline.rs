@@ -70,9 +70,7 @@ proptest! {
         staleness_us in 0u64..5_000_000,
     ) {
         let gateway = gateway();
-        let before: Vec<_> = (0..gateway.n_shards())
-            .map(|s| gateway.shard_metrics(s).expect("shard metrics"))
-            .collect();
+        let before = gateway.metrics().shards;
         // A deadline that expired `staleness_us` ago (or exactly now).
         let deadline = Instant::now() - Duration::from_micros(staleness_us);
         let request = Request::new(x)
@@ -88,12 +86,8 @@ proptest! {
         );
         // No shard saw the request: every engine-side counter that a
         // dispatch would move is unchanged.
-        for (s, old) in before.iter().enumerate() {
-            let now = gateway.shard_metrics(s).expect("shard metrics");
-            prop_assert_eq!(now.requests_total, old.requests_total, "shard {} was touched", s);
-            prop_assert_eq!(now.rejected_total, old.rejected_total);
-            prop_assert_eq!(now.deadline_shed_total, old.deadline_shed_total);
-            prop_assert_eq!(now.samples_scored, old.samples_scored);
+        for (old, now) in before.iter().zip(gateway.metrics().shards) {
+            prop_assert_eq!(&now.engine.counts, &old.engine.counts, "shard {} was touched", old.shard);
         }
     }
 }
@@ -101,12 +95,12 @@ proptest! {
 #[test]
 fn gateway_counts_the_shed_and_stays_usable() {
     let gateway = start_gateway();
-    let shed_before = gateway.metrics().shed_deadline_total;
+    let shed_before = gateway.metrics().counts["gateway/shed_deadline"];
     let e = gateway
         .score(Request::new(vec![0.4, 0.6]).deadline(Instant::now() - Duration::from_secs(1)))
         .unwrap_err();
     assert!(matches!(e, DrcshapError::DeadlineExceeded { shard_untouched: true }), "{e}");
-    assert!(gateway.metrics().shed_deadline_total > shed_before);
+    assert!(gateway.metrics().counts["gateway/shed_deadline"] > shed_before);
     // A fresh deadline goes through normally afterwards.
     let response = gateway
         .score(Request::new(vec![0.4, 0.6]).deadline_in(Duration::from_secs(30)))

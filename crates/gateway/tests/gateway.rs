@@ -62,11 +62,11 @@ fn scores_are_bit_exact_and_attributed_to_a_shard() {
         assert!(!response.hedged);
     }
     let metrics = gateway.metrics();
-    assert_eq!(metrics.requests_total, 24);
-    assert_eq!(metrics.completed_total, 24);
-    assert_eq!(metrics.errors_total, 0);
+    assert_eq!(metrics.counts["gateway/requests"], 24);
+    assert_eq!(metrics.counts["gateway/completed"], 24);
+    assert_eq!(metrics.counts["gateway/errors"], 0);
     // The ring spreads distinct probes over more than one shard.
-    let busy = metrics.shards.iter().filter(|s| s.engine.samples_scored > 0).count();
+    let busy = metrics.shards.iter().filter(|s| s.engine.counts["serve/samples"] > 0).count();
     assert!(busy > 1, "all probes landed on one shard");
 }
 
@@ -95,7 +95,8 @@ fn killed_shard_fails_over_without_dropping_requests() {
         assert_eq!(response.score.to_bits(), rf.predict_proba(&owned).to_bits());
     }
     let metrics = gateway.metrics();
-    assert!(metrics.failovers_total >= 8, "failovers: {}", metrics.failovers_total);
+    let failovers = metrics.counts["gateway/failovers"];
+    assert!(failovers >= 8, "failovers: {failovers}");
     assert!(metrics.shards[0].killed);
     assert!(!metrics.shards[0].available);
 }
@@ -136,8 +137,8 @@ fn quota_sheds_low_priority_first() {
     gateway
         .score(Request::new(probe(0)).tenant("other").priority(Priority::Low))
         .expect("tenants have independent buckets");
-    let metrics = gateway.metrics();
-    assert!(metrics.shed_quota_total >= 2, "quota sheds counted: {}", metrics.shed_quota_total);
+    let shed = gateway.metrics().counts["gateway/shed_quota"];
+    assert!(shed >= 2, "quota sheds counted: {shed}");
 }
 
 #[test]
@@ -162,9 +163,9 @@ fn hedging_beats_a_slow_shard() {
     assert_ne!(response.shard, owner, "the backup should win the race");
     assert_eq!(response.score.to_bits(), rf.predict_proba(&x).to_bits());
     assert!(elapsed < Duration::from_millis(60), "hedge did not beat the slow shard: {elapsed:?}");
-    let metrics = gateway.metrics();
-    assert!(metrics.hedges_total >= 1);
-    assert!(metrics.hedge_wins_total >= 1);
+    let counts = gateway.metrics().counts;
+    assert!(counts["gateway/hedges"] >= 1);
+    assert!(counts["gateway/hedge_wins"] >= 1);
     // The slow shard's EWMA reflects the injected latency once it answers.
     gateway.set_shard_delay(owner, Duration::ZERO).expect("clear delay");
 }

@@ -66,9 +66,9 @@ mod clean {
             assert_eq!(response.epoch, 2);
             assert_eq!(response.score.to_bits(), new_model.predict_proba(&x).to_bits());
         }
-        let metrics = gateway.metrics();
-        assert_eq!(metrics.rollouts_total, 1);
-        assert_eq!(metrics.rollbacks_total, 0);
+        let counts = gateway.metrics().counts;
+        assert_eq!(counts["gateway/rollouts"], 1);
+        assert_eq!(counts["gateway/rollbacks"], 0);
     }
 
     #[test]
@@ -88,7 +88,7 @@ mod clean {
             "fingerprint mismatch is a schema error, got: {e}"
         );
         assert_eq!(gateway.shard_epochs(), vec![1, 1], "no shard was swapped");
-        assert_eq!(gateway.metrics().rollbacks_total, 0);
+        assert_eq!(gateway.metrics().counts["gateway/rollbacks"], 0);
     }
 
     #[test]
@@ -155,9 +155,9 @@ mod drill {
         // The canary was swapped then rolled back (epoch 3 = old model
         // again); the rest of the fleet never left epoch 1.
         assert_eq!(gateway.shard_epochs(), vec![3, 1, 1]);
-        let metrics = gateway.metrics();
-        assert_eq!(metrics.rollouts_total, 1);
-        assert_eq!(metrics.rollbacks_total, 1);
+        let counts = gateway.metrics().counts;
+        assert_eq!(counts["gateway/rollouts"], 1);
+        assert_eq!(counts["gateway/rollbacks"], 1);
         // Every shard — canary included — still serves the OLD model's
         // bits: the bad candidate never reached steady-state traffic.
         for i in 0..12 {

@@ -17,7 +17,7 @@
 //! [`crate::ModelEpoch`] owns its own: a hot swap replaces it with the
 //! epoch, and an explanation computed on an epoch can only land in that
 //! epoch's cache. The engine counts hits and misses in its
-//! [`crate::MetricsRegistry`], across epochs.
+//! [`crate::ServeCounters`], across epochs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};

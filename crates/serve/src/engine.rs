@@ -59,10 +59,10 @@ use drcshap_forest::RandomForest;
 use drcshap_geom::{BudgetState, StageBudget};
 use drcshap_ml::{DrcshapError, InputError, NanPolicy};
 use drcshap_shap::{explain_forest, forest_shap_interactions, Explanation, InteractionValues};
-use drcshap_telemetry as telemetry;
+use drcshap_telemetry::{self as telemetry, Latency};
 use drcshap_xsat::{AbductiveEngine, AbductiveExplanation, XsatBudget};
 
-use crate::metrics::{MetricsRegistry, ServeMetrics};
+use crate::metrics::{ServeCounters, ServeMetrics};
 use crate::swap::{EpochCell, ModelEpoch};
 
 /// Retired epochs' analytics snapshots kept in the history.
@@ -378,7 +378,9 @@ struct Shared {
     /// Signalled when a flush decision can change; workers wait on it.
     flush: Condvar,
     cell: EpochCell,
-    metrics: MetricsRegistry,
+    counters: ServeCounters,
+    /// Enqueue-to-response latency per scored request, in nanoseconds.
+    latency: Latency,
     /// Retired epochs' analytics snapshots, oldest first, at most
     /// [`RETAINED_EPOCHS`].
     history: Mutex<VecDeque<AnalyticsSnapshot>>,
@@ -420,7 +422,8 @@ impl ServeEngine {
             queue: Mutex::new(QueueState::default()),
             flush: Condvar::new(),
             cell,
-            metrics: MetricsRegistry::default(),
+            counters: ServeCounters::default(),
+            latency: Latency::default(),
             history: Mutex::new(VecDeque::new()),
             config,
         });
@@ -493,7 +496,7 @@ impl ServeEngine {
         match budget.check() {
             BudgetState::Within => {}
             BudgetState::DeadlineExpired => {
-                self.shared.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.deadline_shed.add(1);
                 return Err(DrcshapError::DeadlineExceeded { shard_untouched: true });
             }
             BudgetState::Cancelled => return Err(DrcshapError::Interrupted),
@@ -511,7 +514,7 @@ impl ServeEngine {
                 return Err(DrcshapError::ShuttingDown);
             }
             if q.len >= shared.config.queue_capacity {
-                shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.counters.rejected.add(1);
                 return Err(DrcshapError::Overloaded { capacity: shared.config.queue_capacity });
             }
             let was_empty = q.batches.is_empty();
@@ -524,8 +527,7 @@ impl ServeEngine {
             let ticket = Ticket { slot: Arc::clone(&back.slot), index: back.requests.len() - 1 };
             let filled = back.requests.len() == max_batch;
             q.len += 1;
-            shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.queue_depth.store(q.len as u64, Ordering::Relaxed);
+            shared.counters.requests.add(1);
             (ticket, was_empty || filled)
         };
         // Any other submission changes no worker's flush decision: the
@@ -571,15 +573,15 @@ impl ServeEngine {
     /// The SHAP explanation of an admitted row on `model`, through its
     /// cache, folded into its analytics sink.
     fn shap_on(&self, model: &ModelEpoch, key: &[f32]) -> Arc<Explanation> {
-        let metrics = &self.shared.metrics;
-        metrics.explains.fetch_add(1, Ordering::Relaxed);
+        let counters = &self.shared.counters;
+        counters.explains.add(1);
         let explanation = match model.cache.get(key) {
             Some(hit) => {
-                metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                counters.cache_hits.add(1);
                 hit
             }
             None => {
-                metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+                counters.cache_misses.add(1);
                 let fresh = Arc::new(explain_forest(&model.forest, key));
                 model.cache.insert(key, Arc::clone(&fresh));
                 fresh
@@ -607,13 +609,13 @@ impl ServeEngine {
     /// retired the epoch, as stale.
     fn fold(&self, model: &ModelEpoch, x: &[f32], phi: &[f64], iv: Option<&InteractionValues>) {
         let Some(analytics) = &model.analytics else { return };
-        let metrics = &self.shared.metrics;
+        let counters = &self.shared.counters;
         let counter = if analytics.fold(x, phi, iv) {
-            &metrics.analytics_folds
+            &counters.analytics_folds
         } else {
-            &metrics.analytics_stale_folds
+            &counters.analytics_stale_folds
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.add(1);
     }
 
     /// SHAP interaction values for one sample (the dense symmetric matrix
@@ -645,7 +647,7 @@ impl ServeEngine {
     /// worker or client counts. `None` when analytics is disabled.
     pub fn analytics_snapshot(&self) -> Option<AnalyticsSnapshot> {
         self.shared.config.analytics.as_ref()?;
-        let stale = self.shared.metrics.analytics_stale_folds.load(Ordering::Relaxed);
+        let stale = self.shared.counters.analytics_stale_folds.get();
         // An epoch loaded just before a swap retired it has no sink left;
         // the epoch that replaced it has.
         loop {
@@ -729,14 +731,14 @@ impl ServeEngine {
         budget: &XsatBudget,
     ) -> Result<AbductiveExplanation, DrcshapError> {
         let _span = telemetry::span("serve/explain_abductive");
-        self.shared.metrics.abductive.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.abductive.add(1);
         let mut slot = model.abductive.lock().expect("abductive lock poisoned");
         if slot.is_none() {
             *slot = Some(AbductiveEngine::new(&model.forest)?);
         }
         let result = slot.as_mut().expect("engine just built").explain(key, budget);
         if matches!(result, Err(DrcshapError::ExplanationTimeout { .. })) {
-            self.shared.metrics.abductive_timeouts.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.abductive_timeouts.add(1);
         }
         result
     }
@@ -754,8 +756,8 @@ impl ServeEngine {
     /// serving epoch is untouched.
     pub fn swap(&self, forest: RandomForest, fingerprint: u64) -> Result<u64, DrcshapError> {
         let old = self.shared.cell.swap(forest, fingerprint)?;
-        self.shared.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-        let stale = self.shared.metrics.analytics_stale_folds.load(Ordering::Relaxed);
+        self.shared.counters.swaps.add(1);
+        let stale = self.shared.counters.analytics_stale_folds.get();
         if let Some(frozen) = old.analytics.as_ref().and_then(|a| a.retire(stale)) {
             let mut history = self.shared.history.lock().expect("analytics history lock poisoned");
             history.push_back(frozen);
@@ -780,7 +782,13 @@ impl ServeEngine {
     /// Snapshots the serving metrics.
     pub fn metrics(&self) -> ServeMetrics {
         let model = self.shared.cell.load();
-        self.shared.metrics.snapshot(model.epoch, model.cache.len())
+        ServeMetrics {
+            counts: self.shared.counters.counts(),
+            queue_depth: self.shared.queue.lock().expect("queue lock poisoned").len as u64,
+            model_epoch: model.epoch,
+            cache_len: model.cache.len(),
+            latency: self.shared.latency.quantiles(),
+        }
     }
 
     /// Stops admissions, drains every queued request through the workers,
@@ -844,7 +852,6 @@ fn next_batch(shared: &Shared) -> Option<Batch> {
     let batch = q.batches.pop_front().expect("the front batch was just checked");
     batch.slot.stage.store(TAKEN, Ordering::Relaxed);
     q.len -= batch.requests.len();
-    shared.metrics.queue_depth.store(q.len as u64, Ordering::Relaxed);
     // More batches queued (burst): hand them to a peer.
     if !q.batches.is_empty() {
         shared.flush.notify_one();
@@ -855,7 +862,7 @@ fn next_batch(shared: &Shared) -> Option<Batch> {
 /// Scores `batch` against the epoch loaded now and publishes every answer
 /// at once.
 fn flush(shared: &Shared, batch: Batch) {
-    let metrics = &shared.metrics;
+    let counters = &shared.counters;
     let model = shared.cell.load();
     let m = model.compiled.n_features();
     let mut flat = Vec::with_capacity(batch.requests.len() * m);
@@ -869,11 +876,11 @@ fn flush(shared: &Shared, batch: Batch) {
             match request.budget.check() {
                 BudgetState::Within => {}
                 BudgetState::DeadlineExpired => {
-                    metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
+                    counters.deadline_shed.add(1);
                     return Answer::DeadlineShed;
                 }
                 BudgetState::Cancelled => {
-                    metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+                    counters.cancelled.add(1);
                     return Answer::Cancelled;
                 }
             }
@@ -889,17 +896,11 @@ fn flush(shared: &Shared, batch: Batch) {
         .collect();
     let batch_size = rows.iter().filter(|row| matches!(row, Answer::Scored(_))).count();
     if batch_size > 0 {
-        let scores = {
-            let _flush_span =
-                telemetry::span_with("serve/flush", || format!("{batch_size} samples"));
-            model.score_batch(&flat, shared.config.nan_policy == NanPolicy::NanAware)
-        };
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics.samples.fetch_add(batch_size as u64, Ordering::Relaxed);
-        telemetry::counter("serve/batches", 1);
-        telemetry::counter("serve/samples", batch_size as u64);
+        let scores = model.score_batch(&flat, shared.config.nan_policy == NanPolicy::NanAware);
+        counters.batches.add(1);
+        counters.samples.add(batch_size as u64);
         let now = Instant::now();
-        let mut latency = metrics.latency.lock().expect("latency lock poisoned");
+        let mut latency = shared.latency.lock();
         let mut scores = scores.into_iter();
         for (row, request) in rows.iter_mut().zip(&batch.requests) {
             if let Answer::Scored(score) = row {
@@ -952,10 +953,10 @@ mod tests {
             assert_eq!(response.epoch, 1);
             assert!(response.batch_size >= 1);
         }
-        let metrics = engine.metrics();
-        assert_eq!(metrics.requests_total, 3);
-        assert_eq!(metrics.samples_scored, 3);
-        assert!(metrics.batches_total >= 1);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/requests"], 3);
+        assert_eq!(counts["serve/samples"], 3);
+        assert!(counts["serve/batches"] >= 1);
     }
 
     #[test]
@@ -969,9 +970,9 @@ mod tests {
         // A second call reuses the cached encoding (same epoch).
         let again = engine.explain_abductive(&x, &XsatBudget::default()).expect("explains");
         assert_eq!(again.sufficient, ex.sufficient);
-        let metrics = engine.metrics();
-        assert_eq!(metrics.abductive_total, 2);
-        assert_eq!(metrics.abductive_timeout_total, 0);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/abductive"], 2);
+        assert_eq!(counts["serve/abductive_timeouts"], 0);
         // The swapped-in epoch encodes its own SAT engine on its first
         // call and explains the *new* model.
         let rf2 = forest(40);
@@ -996,9 +997,12 @@ mod tests {
         let old = engine.model();
         engine.swap(rf2, 7).expect("swap");
         assert_eq!(engine.shap_on(&old, &late).contributions, phi);
-        let metrics = engine.metrics();
-        assert_eq!(metrics.analytics_folds_total, 1);
-        assert_eq!(metrics.analytics_stale_folds_total, 1, "the late fold is dropped and counted");
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/analytics_folds"], 1);
+        assert_eq!(
+            counts["serve/analytics_stale_folds"], 1,
+            "the late fold is dropped and counted"
+        );
         let history = engine.analytics_history();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].digest(), before.digest(), "the retired epoch stays frozen");
@@ -1032,9 +1036,9 @@ mod tests {
         engine.score(vec![0.5, 0.5]).expect("scoring unaffected");
         engine.explain(&[0.5, 0.5]).expect("shap unaffected");
         engine.explain_abductive(&[0.5, 0.5], &XsatBudget::default()).expect("recovers");
-        let metrics = engine.metrics();
-        assert_eq!(metrics.abductive_timeout_total, 1);
-        assert_eq!(metrics.abductive_total, 2);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/abductive_timeouts"], 1);
+        assert_eq!(counts["serve/abductive"], 2);
     }
 
     #[test]
@@ -1123,9 +1127,9 @@ mod tests {
         let budget = StageBudget::with_deadline(Duration::ZERO);
         let e = engine.submit_with_budget(vec![0.5, 0.5], budget).unwrap_err();
         assert!(matches!(e, DrcshapError::DeadlineExceeded { shard_untouched: true }), "{e}");
-        let metrics = engine.metrics();
-        assert_eq!(metrics.requests_total, 0, "shed request must never enter the queue");
-        assert_eq!(metrics.deadline_shed_total, 1);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/requests"], 0, "shed request must never enter the queue");
+        assert_eq!(counts["serve/deadline_shed"], 1);
     }
 
     #[test]
@@ -1185,8 +1189,8 @@ mod tests {
         let e = stale.wait().unwrap_err();
         assert!(matches!(e, DrcshapError::DeadlineExceeded { shard_untouched: false }), "{e}");
         fresh.wait().expect("unbudgeted request still scored");
-        let metrics = engine.metrics();
-        assert_eq!(metrics.deadline_shed_total, 1);
-        assert_eq!(metrics.samples_scored, 1);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/deadline_shed"], 1);
+        assert_eq!(counts["serve/samples"], 1);
     }
 }

@@ -22,9 +22,11 @@
 //!   explanation cache, its lazily encoded SAT engine and, when analytics
 //!   is mounted, its analytics sink, so a swap is one pointer store and
 //!   no explanation crosses from one epoch into the next.
-//! - [`ServeMetrics`] — a serializable snapshot of request/batch
-//!   counters, cache hit rate, queue depth, and latency quantiles from a
-//!   `drcshap_telemetry::QuantileSketch`.
+//! - [`ServeCounters`] — every count the engine keeps, declared once and
+//!   mirrored into the process-wide telemetry counter of the same name
+//!   while telemetry is enabled; [`ServeMetrics`] is the serializable
+//!   snapshot of those counts, the queue depth, and latency quantiles
+//!   from a `drcshap_telemetry::QuantileSketch`.
 //!
 //! Every batch is scored by the epoch's [`CompiledForest`]; the
 //! reference `RandomForest::predict_proba` / `predict_proba_nan_aware`
@@ -43,5 +45,5 @@ pub mod swap;
 pub use cache::ExplanationCache;
 pub use drcshap_forest::CompiledForest;
 pub use engine::{ScoredResponse, ServeConfig, ServeEngine, Ticket};
-pub use metrics::{MetricsRegistry, ServeMetrics};
+pub use metrics::{ServeCounters, ServeMetrics};
 pub use swap::{EpochCell, ModelEpoch};

@@ -79,19 +79,18 @@ impl ModelEpoch {
     }
 
     /// Scores a row-major batch through this epoch's compiled forest,
-    /// under the `kernel/compiled` telemetry span. Plain batches are
-    /// bit-identical to `RandomForest::predict_proba` per row, `nan_aware`
-    /// ones to `predict_proba_nan_aware`.
+    /// under the `kernel/compiled` telemetry span, whose detail is the
+    /// batch size. Plain batches are bit-identical to
+    /// `RandomForest::predict_proba` per row, `nan_aware` ones to
+    /// `predict_proba_nan_aware`.
     ///
     /// # Panics
     ///
     /// Panics if `flat.len()` is not a multiple of the feature count.
     pub fn score_batch(&self, flat: &[f32], nan_aware: bool) -> Vec<f64> {
-        let _span = telemetry::span("kernel/compiled");
-        telemetry::counter(
-            "serve/kernel_rows",
-            (flat.len() / self.compiled.n_features().max(1)) as u64,
-        );
+        let _span = telemetry::span_with("kernel/compiled", || {
+            format!("{} samples", flat.len() / self.compiled.n_features().max(1))
+        });
         if nan_aware {
             self.compiled.score_batch_nan_aware(flat)
         } else {

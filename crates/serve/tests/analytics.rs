@@ -86,9 +86,9 @@ fn digests_are_bit_identical_across_worker_and_shard_counts() {
         assert_eq!(snapshot.n_vectors, cases.len() as u64);
         reference_provenance = Some(snapshot.provenance);
         digests.push(snapshot.digest());
-        let metrics = engine.metrics();
-        assert_eq!(metrics.analytics_folds_total, cases.len() as u64);
-        assert_eq!(metrics.analytics_stale_folds_total, 0);
+        let counts = engine.metrics().counts;
+        assert_eq!(counts["serve/analytics_folds"], cases.len() as u64);
+        assert_eq!(counts["serve/analytics_stale_folds"], 0);
     }
     assert!(digests.windows(2).all(|w| w[0] == w[1]), "digests diverged: {digests:?}");
     // ...and the engine path matches the plain single-threaded fold.
@@ -106,9 +106,9 @@ fn cache_hits_still_fold() {
     engine.explain(&x).expect("hit");
     let snapshot = engine.analytics_snapshot().expect("mounted");
     assert_eq!(snapshot.n_vectors, 2);
-    let metrics = engine.metrics();
-    assert!(metrics.cache_hits >= 1, "second explain must hit the cache");
-    assert_eq!(metrics.analytics_folds_total, 2);
+    let counts = engine.metrics().counts;
+    assert!(counts["serve/cache_hits"] >= 1, "second explain must hit the cache");
+    assert_eq!(counts["serve/analytics_folds"], 2);
 }
 
 /// Hot swap freezes the old epoch (snapshot retained, provenance of the
@@ -160,9 +160,9 @@ fn disabled_analytics_is_inert() {
     engine.explain(&probes(1)[0]).expect("explain");
     assert!(engine.analytics_snapshot().is_none());
     assert!(engine.analytics_history().is_empty());
-    let metrics = engine.metrics();
-    assert_eq!(metrics.analytics_folds_total, 0);
-    assert_eq!(metrics.analytics_stale_folds_total, 0);
+    let counts = engine.metrics().counts;
+    assert_eq!(counts["serve/analytics_folds"], 0);
+    assert_eq!(counts["serve/analytics_stale_folds"], 0);
 }
 
 /// `explain_interactions` returns a matrix satisfying the additivity

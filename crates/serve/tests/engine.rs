@@ -81,8 +81,8 @@ fn overloaded_fires_exactly_at_queue_capacity_and_shutdown_drains() {
     let e = engine.submit(probe.clone()).unwrap_err();
     assert!(matches!(e, DrcshapError::Overloaded { capacity: 4 }), "{e}");
     let metrics = engine.metrics();
-    assert_eq!(metrics.rejected_total, 1);
-    assert_eq!(metrics.requests_total, 4);
+    assert_eq!(metrics.counts["serve/rejected"], 1);
+    assert_eq!(metrics.counts["serve/requests"], 4);
     assert_eq!(metrics.queue_depth, 4);
 
     // Shutdown must drain: every accepted request still gets its score.
@@ -93,14 +93,14 @@ fn overloaded_fires_exactly_at_queue_capacity_and_shutdown_drains() {
         assert_eq!(response.score.to_bits(), expected.to_bits());
         assert_eq!(response.epoch, 1);
     }
-    assert_eq!(engine.metrics().samples_scored, 4);
+    assert_eq!(engine.metrics().counts["serve/samples"], 4);
 }
 
-/// A batch's responses are all sent before its oldest one: a client
-/// waiting on ticket 0 wakes once and finds every later ticket answered,
-/// instead of waking and blocking again per response. Sending oldest first
-/// fails this on one CPU when the woken client preempts the worker, which
-/// a batch long enough to use up the worker's time slice makes likely; the
+/// A batch's answers are published together: a client waiting on ticket 0
+/// wakes once and finds every later ticket answered, instead of waking and
+/// blocking again per answer. Answers published one at a time would fail
+/// this on one CPU when the woken client preempts the worker, which a
+/// batch long enough to use up the worker's time slice makes likely; the
 /// test runs several batches so it does not rely on one.
 #[test]
 fn waiting_on_the_oldest_ticket_finds_the_whole_batch_answered() {
@@ -134,7 +134,7 @@ fn waiting_on_the_oldest_ticket_finds_the_whole_batch_answered() {
             assert_eq!(response.batch_size, N);
         }
     }
-    assert_eq!(engine.metrics().batches_total, ROUNDS as u64);
+    assert_eq!(engine.metrics().counts["serve/batches"], ROUNDS as u64);
 }
 
 /// `n` distinct probe rows.
@@ -168,7 +168,7 @@ fn a_blocked_caller_flushes_a_partial_batch() {
         assert_eq!(response.batch_size, 3);
     }
     let metrics = engine.metrics();
-    assert_eq!((metrics.batches_total, metrics.queue_depth), (1, 0));
+    assert_eq!((metrics.counts["serve/batches"], metrics.queue_depth), (1, 0));
 }
 
 /// How the client treats one ticket in the interleaving property.
@@ -255,12 +255,14 @@ proptest! {
         }
         engine.shutdown();
         let m = engine.metrics();
-        prop_assert_eq!(m.requests_total, accepted);
+        let count = |name: &str| m.counts[name];
+        prop_assert_eq!(count("serve/requests"), accepted);
         prop_assert_eq!(
-            m.samples_scored + (m.deadline_shed_total - shed_at_admission) + m.cancelled_total,
+            count("serve/samples") + (count("serve/deadline_shed") - shed_at_admission)
+                + count("serve/cancelled"),
             accepted
         );
-        prop_assert_eq!((m.queue_depth, m.rejected_total), (0, 0));
+        prop_assert_eq!((m.queue_depth, count("serve/rejected")), (0, 0));
     }
 }
 
@@ -271,10 +273,10 @@ fn swap_validation_rejects_wrong_identity_through_the_engine() {
     assert!(matches!(e, DrcshapError::Schema(SchemaError::FingerprintMismatch { .. })), "{e}");
     // Failed swaps leave the serving epoch untouched.
     assert_eq!(engine.metrics().model_epoch, 1);
-    assert_eq!(engine.metrics().swaps_total, 0);
+    assert_eq!(engine.metrics().counts["serve/swaps"], 0);
     let epoch = engine.swap(forest(2), 7).expect("valid swap");
     assert_eq!(epoch, 2);
-    assert_eq!(engine.metrics().swaps_total, 1);
+    assert_eq!(engine.metrics().counts["serve/swaps"], 1);
 }
 
 #[test]
@@ -353,10 +355,10 @@ fn hot_swap_under_load_never_drops_or_mixes_requests() {
     // Nothing dropped: all 4 * 250 requests answered.
     assert_eq!(total, 1000);
     assert!(!epochs_seen.is_empty());
-    let metrics = engine.metrics();
-    assert_eq!(metrics.samples_scored, 1000);
-    assert_eq!(metrics.rejected_total, 0);
-    assert_eq!(metrics.swaps_total, 30);
+    let counts = engine.metrics().counts;
+    assert_eq!(counts["serve/samples"], 1000);
+    assert_eq!(counts["serve/rejected"], 0);
+    assert_eq!(counts["serve/swaps"], 30);
 }
 
 /// Regression test for the shutdown race: a request submitted concurrently
@@ -423,7 +425,7 @@ fn submit_racing_shutdown_is_answered_or_typed_never_dropped() {
         }
         // Every accepted request was scored — the engine's own ledger must
         // agree with the per-thread counts (nothing vanished in the queue).
-        assert_eq!(engine.metrics().samples_scored, total_accepted);
+        assert_eq!(engine.metrics().counts["serve/samples"], total_accepted);
     }
 }
 
@@ -438,10 +440,10 @@ fn explanation_cache_short_circuits_repeat_lookups() {
     // Same Arc: the hit path returned the cached explanation without
     // walking a single tree.
     assert!(Arc::ptr_eq(&first, &second));
-    let metrics = engine.metrics();
-    assert_eq!(metrics.explains_total, 2);
-    assert_eq!(metrics.cache_hits, 1);
-    assert_eq!(metrics.cache_misses, 1);
+    let counts = engine.metrics().counts;
+    assert_eq!(counts["serve/explains"], 2);
+    assert_eq!(counts["serve/cache_hits"], 1);
+    assert_eq!(counts["serve/cache_misses"], 1);
 
     // The next epoch starts with its own empty cache: same probe, fresh
     // explanation for the new model, and the counters keep counting.
@@ -455,6 +457,6 @@ fn explanation_cache_short_circuits_repeat_lookups() {
     let fourth = engine.explain(&probe).expect("explain after swap");
     assert!(Arc::ptr_eq(&third, &fourth));
     let metrics = engine.metrics();
-    assert_eq!((metrics.cache_hits, metrics.cache_misses, metrics.cache_len), (2, 2, 1));
-    assert!((metrics.cache_hit_rate - 0.5).abs() < 1e-12);
+    let (hits, misses) = (metrics.counts["serve/cache_hits"], metrics.counts["serve/cache_misses"]);
+    assert_eq!((hits, misses, metrics.cache_len), (2, 2, 1));
 }

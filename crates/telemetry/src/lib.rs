@@ -3,15 +3,17 @@
 //! exported as a JSON summary (per-span count/total/p50/p99) or as Chrome
 //! trace-event format loadable in `chrome://tracing` / Perfetto, plus the
 //! workspace's one quantile structure, the deterministic mergeable
-//! [`QuantileSketch`] ([`sketch`]).
+//! [`QuantileSketch`] ([`sketch`]), and the owned metrics a serving engine
+//! or gateway keeps for its own snapshot ([`metrics`]).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero overhead when disabled.** Telemetry is off by default. A
-//!    disabled [`span`] or [`counter`] call is one relaxed atomic load —
-//!    no allocation, no clock read, no thread-local initialisation. Hot
-//!    loops (per-tree fits, router rounds, serve flushes) can stay
-//!    instrumented unconditionally.
+//!    disabled [`span`] or [`counter`] call, and the process-wide mirror
+//!    of a [`Counter::add`], is one relaxed atomic load — no allocation,
+//!    no clock read, no thread-local initialisation. Hot loops (per-tree
+//!    fits, router rounds, serve flushes) can stay instrumented
+//!    unconditionally.
 //! 2. **Thread-safe.** Each thread records spans into its own buffer
 //!    (registered once with the global [`TelemetryHub`]); counters are
 //!    shared relaxed atomics, so increments from any number of workers
@@ -45,8 +47,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+pub mod metrics;
 pub mod sketch;
 
+pub use metrics::{Counter, Latency, Quantiles};
 pub use sketch::{BucketEntry, QuantileSketch, SketchParams};
 
 /// Global on/off switch. Off by default; every recording call checks this
@@ -89,19 +93,29 @@ struct SpanRecord {
     depth: u32,
 }
 
-/// Per-thread span cap: a hot loop traced for minutes (the gateway chaos
-/// soak records one span per request) must not grow memory and the trace
-/// file without bound. Past the cap, spans are counted in
-/// [`SpanSink::dropped`] instead of stored; counters are unaffected.
+/// Per-thread cap on the spans kept for the Chrome trace: a hot loop
+/// traced for minutes (the gateway chaos soak records one span per
+/// request) must not grow memory and the trace file without bound. Past
+/// the cap, spans are counted in [`SinkState::dropped`] instead of stored;
+/// the summary and counters still cover them.
 const SPAN_CAP: usize = 1 << 18;
 
 /// Per-thread span buffer, registered once with the hub. The mutex is
 /// uncontended in steady state (only export locks it from another thread).
 struct SpanSink {
     tid: u64,
-    spans: Mutex<Vec<SpanRecord>>,
-    /// Spans discarded after this sink hit [`SPAN_CAP`].
-    dropped: AtomicU64,
+    state: Mutex<SinkState>,
+}
+
+#[derive(Default)]
+struct SinkState {
+    /// The spans kept for the Chrome trace, at most [`SPAN_CAP`].
+    records: Vec<SpanRecord>,
+    /// Spans left out of `records` after it hit [`SPAN_CAP`].
+    dropped: u64,
+    /// Every span's duration in nanoseconds, folded per name as it is
+    /// recorded: the total and a sketch.
+    durations: BTreeMap<&'static str, (u64, QuantileSketch)>,
 }
 
 thread_local! {
@@ -150,8 +164,7 @@ fn local_sink() -> Arc<SpanSink> {
         let h = hub();
         let sink = Arc::new(SpanSink {
             tid: h.next_tid.fetch_add(1, Ordering::Relaxed),
-            spans: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
+            state: Mutex::new(SinkState::default()),
         });
         lock_ignore_poison(&h.sinks).push(Arc::clone(&sink));
         *slot = Some(Arc::clone(&sink));
@@ -192,11 +205,14 @@ impl Drop for SpanGuard {
             depth: self.depth,
         };
         let sink = local_sink();
-        let mut spans = lock_ignore_poison(&sink.spans);
-        if spans.len() < SPAN_CAP {
-            spans.push(record);
+        let mut state = lock_ignore_poison(&sink.state);
+        let (total, durations) = state.durations.entry(self.name).or_default();
+        *total += dur_ns;
+        durations.insert(dur_ns as f64);
+        if state.records.len() < SPAN_CAP {
+            state.records.push(record);
         } else {
-            sink.dropped.fetch_add(1, Ordering::Relaxed);
+            state.dropped += 1;
         }
     }
 }
@@ -290,9 +306,12 @@ pub struct TelemetrySummary {
     pub spans: BTreeMap<String, SpanStats>,
     /// Final value per counter name.
     pub counters: BTreeMap<String, u64>,
-    /// Spans discarded after a thread's buffer hit its cap (the stats
-    /// above cover only the retained prefix of such threads).
+    /// Spans left out of the Chrome trace after a thread's buffer hit its
+    /// cap (the stats above still cover them).
     pub dropped_spans: u64,
+    /// The snapshot of the serving engine or gateway the process ran,
+    /// nested whole by [`TelemetryHub::stats_line`]; `None` otherwise.
+    pub metrics: Option<serde_json::Value>,
 }
 
 impl TelemetryHub {
@@ -303,8 +322,8 @@ impl TelemetryHub {
         let sinks = lock_ignore_poison(&self.sinks);
         let mut merged: Vec<(u64, SpanRecord)> = Vec::new();
         for sink in sinks.iter() {
-            let spans = lock_ignore_poison(&sink.spans);
-            merged.extend(spans.iter().map(|r| (sink.tid, r.clone())));
+            let state = lock_ignore_poison(&sink.state);
+            merged.extend(state.records.iter().map(|r| (sink.tid, r.clone())));
         }
         merged.sort_by(|(ta, a), (tb, b)| {
             (a.start_ns, *ta, a.depth, a.name).cmp(&(b.start_ns, *tb, b.depth, b.name))
@@ -312,40 +331,34 @@ impl TelemetryHub {
         merged
     }
 
-    /// Total spans discarded across all threads after their buffers hit
-    /// the per-thread cap.
-    pub fn dropped_spans(&self) -> u64 {
-        lock_ignore_poison(&self.sinks)
-            .iter()
-            .map(|sink| sink.dropped.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Builds the JSON-ready summary: per-span count/total/mean/p50/p99 and
-    /// final counter values.
+    /// Builds the JSON-ready summary: per-span count/total/mean/p50/p99 over
+    /// every recorded span, and final counter values.
     ///
-    /// Each sink's records are folded under its lock, with no copy and no
-    /// sort: a `u64` total and a [`QuantileSketch`] are the same whatever
-    /// order the durations arrive in.
+    /// Each thread folds its spans per name as it records them; this
+    /// merges those folds, which gives the same totals and sketches
+    /// whatever order the threads are merged in.
     pub fn summary(&self) -> TelemetrySummary {
         let mut durations: BTreeMap<&'static str, (u64, QuantileSketch)> = BTreeMap::new();
+        let mut dropped_spans = 0;
         for sink in lock_ignore_poison(&self.sinks).iter() {
-            for record in lock_ignore_poison(&sink.spans).iter() {
-                let (total, ns) = durations.entry(record.name).or_default();
-                *total += record.dur_ns;
-                ns.insert(record.dur_ns as f64);
+            let state = lock_ignore_poison(&sink.state);
+            dropped_spans += state.dropped;
+            for (&name, (total, ns)) in &state.durations {
+                let (merged_total, merged) = durations.entry(name).or_default();
+                *merged_total += total;
+                merged.merge(ns).expect("span sketches share the default params");
             }
         }
         let spans = durations
             .into_iter()
             .map(|(name, (total, ns))| {
-                let quantile_us = |q| ns.quantile(q).unwrap_or(0.0) / 1e3;
+                let Quantiles { p50_us, p99_us } = Quantiles::of(&ns);
                 let stats = SpanStats {
                     count: ns.count(),
                     total_ms: total as f64 / 1e6,
                     mean_us: total as f64 / 1e3 / ns.count() as f64,
-                    p50_us: quantile_us(0.50),
-                    p99_us: quantile_us(0.99),
+                    p50_us,
+                    p99_us,
                 };
                 (name.to_string(), stats)
             })
@@ -354,7 +367,16 @@ impl TelemetryHub {
             .iter()
             .map(|(&name, value)| (name.to_string(), value.load(Ordering::Relaxed)))
             .collect();
-        TelemetrySummary { spans, counters, dropped_spans: self.dropped_spans() }
+        TelemetrySummary { spans, counters, dropped_spans, metrics: None }
+    }
+
+    /// The one `--stats` document: [`TelemetryHub::summary`] on a single
+    /// compact JSON line, with `metrics` — the snapshot of the serving
+    /// engine or gateway the process ran, if any — nested under
+    /// `"metrics"`.
+    pub fn stats_line(&self, metrics: Option<serde_json::Value>) -> String {
+        let summary = TelemetrySummary { metrics, ..self.summary() };
+        serde_json::to_string(&summary).expect("the summary serializes")
     }
 
     /// Renders every recorded span (and final counter values) in Chrome
@@ -395,7 +417,10 @@ impl TelemetryHub {
             }));
         }
         // Make a truncated trace say so, in the trace itself.
-        let dropped = self.dropped_spans();
+        let dropped: u64 = lock_ignore_poison(&self.sinks)
+            .iter()
+            .map(|sink| lock_ignore_poison(&sink.state).dropped)
+            .sum();
         if dropped > 0 {
             events.push(serde_json::json!({
                 "name": "telemetry/spans_dropped",
@@ -419,8 +444,7 @@ impl TelemetryHub {
     /// only the data is cleared. Intended for tests and between-phase resets.
     pub fn reset(&self) {
         for sink in lock_ignore_poison(&self.sinks).iter() {
-            lock_ignore_poison(&sink.spans).clear();
-            sink.dropped.store(0, Ordering::Relaxed);
+            *lock_ignore_poison(&sink.state) = SinkState::default();
         }
         for value in lock_ignore_poison(&self.counters).values() {
             value.store(0, Ordering::Relaxed);
@@ -518,6 +542,18 @@ mod tests {
         let summary = hub().summary();
         assert_eq!(summary.counters["test/par_events"], 1000);
         assert_eq!(summary.spans["test/par_span"].count, 500);
+        teardown();
+    }
+
+    #[test]
+    fn owned_counters_mirror_into_the_hub_only_while_enabled() {
+        let _guard = exclusive();
+        static OWNED: Counter = Counter::new("test/owned");
+        on_four_threads(|_| OWNED.add(5));
+        disable();
+        OWNED.add(1);
+        assert_eq!(OWNED.get(), 21, "the owner counts whether or not telemetry is on");
+        assert_eq!(hub().summary().counters["test/owned"], 20);
         teardown();
     }
 
@@ -621,7 +657,8 @@ mod tests {
             let _s = span("test/capped");
         }
         let summary = hub().summary();
-        assert_eq!(summary.spans["test/capped"].count as usize, SPAN_CAP);
+        // The summary covers every span; only the trace is capped.
+        assert_eq!(summary.spans["test/capped"].count as usize, SPAN_CAP + 100);
         assert_eq!(summary.dropped_spans, 100);
         // The trace itself says it was truncated.
         let trace = hub().chrome_trace();

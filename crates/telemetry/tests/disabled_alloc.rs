@@ -1,7 +1,7 @@
 //! Disabled telemetry must be allocation-free: hot loops across the
 //! workspace (per-tree fits, router rounds, serve flushes) call `span` /
-//! `counter` unconditionally, so the disabled path has to be nothing but a
-//! relaxed load. A counting global allocator makes that a hard assertion
+//! `counter` / `Counter::add` unconditionally, so the disabled path has to
+//! be nothing but a relaxed load. A counting global allocator makes that a hard assertion
 //! rather than a code-review promise.
 //!
 //! This lives in its own integration-test binary so the allocator override
@@ -36,14 +36,17 @@ fn disabled_spans_and_counters_do_not_allocate() {
     assert!(!drcshap_telemetry::is_enabled());
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let owned = drcshap_telemetry::Counter::new("alloc_test/owned");
     for i in 0..10_000u64 {
         let _span = drcshap_telemetry::span("alloc_test/span");
         let _nested = drcshap_telemetry::span_with("alloc_test/detail", || {
             unreachable!("detail closure must not run while disabled")
         });
         drcshap_telemetry::counter("alloc_test/count", i);
+        owned.add(i);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(owned.get(), (0..10_000).sum::<u64>(), "the owner still counts");
 
     assert_eq!(
         after - before,

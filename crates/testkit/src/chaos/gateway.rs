@@ -429,9 +429,10 @@ pub fn gateway_chaos_soak(
         }
         report.validated += 1;
     }
-    report.failovers = metrics.failovers_total;
-    report.hedges = metrics.hedges_total;
-    report.retries = metrics.retries_total;
+    let counts = &metrics.counts;
+    report.failovers = counts["gateway/failovers"];
+    report.hedges = counts["gateway/hedges"];
+    report.retries = counts["gateway/retries"];
     report.epochs_observed = epochs.len() as u64;
     if report.validated != report.responses {
         return Err(format!(
@@ -439,11 +440,11 @@ pub fn gateway_chaos_soak(
             report.responses, report.validated
         ));
     }
-    if metrics.completed_total != report.responses {
+    if counts["gateway/completed"] != report.responses {
         return Err(format!(
             "gateway counted {} completions but clients saw {} responses — a response was \
              dropped or double-counted",
-            metrics.completed_total, report.responses
+            counts["gateway/completed"], report.responses
         ));
     }
     // Survivor quality: at least 99% of requests that were not typed

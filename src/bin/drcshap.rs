@@ -46,7 +46,7 @@
 //!     batched inference through the serve engine: scores JSONL feature rows
 //!     from stdin (one JSON array per line) to JSONL on stdout, or a whole
 //!     built design with `--design`, through the compiled forest;
-//!     `--stats` dumps serving metrics as JSON on stderr at the end
+//!     `--stats` nests the engine's metrics in its JSON line on stderr
 //! drcshap gateway <model> [--shards <n>] [--batch <n>] [--wait-ms <ms>]
 //!                 [--workers <n>] [--queue <n>] [--nan-aware]
 //!                 [--deadline-ms <ms>] [--hedge-ms <ms>] [--retries <n>]
@@ -59,7 +59,8 @@
 //!     (overload, deadline) are emitted as JSON error lines, not process
 //!     failures. `--listen <addr>` starts a minimal TCP front end serving
 //!     the same protocol per connection (`--max-conns` bounds how many
-//!     before exiting); `--stats` dumps gateway metrics as JSON on stderr
+//!     before exiting); `--stats` nests the gateway's metrics, with each
+//!     shard engine's, in its JSON line on stderr
 //! drcshap testkit run [--seeds <n>] [--base-seed <s>] [--check <name>]...
 //!                     [--soak-secs <t>] [--gateway-soak-secs <t>]
 //!                     [--crash-soak-iters <n>] [--xsat-checks]
@@ -82,8 +83,9 @@
 //! Every verb also accepts the global telemetry flags, stripped before
 //! dispatch: `--trace <out.json>` records spans and counters and writes a
 //! Chrome trace-event file (open in `chrome://tracing` or Perfetto), and
-//! `--stats` prints the span/counter summary as JSON on stderr (for
-//! `serve`, alongside the engine metrics it already printed).
+//! `--stats` prints the span/counter summary as one JSON line on stderr,
+//! the last line the process prints there (for `serve` and `gateway`,
+//! with the engine's or gateway's metrics nested under `metrics`).
 //!
 //! Every failure on the serving path surfaces as a typed
 //! [`DrcshapError`] — usage mistakes exit with status 2, runtime failures
@@ -141,8 +143,9 @@ const USAGE: &str = "usage: drcshap <list | build <design> [scale] | explain <de
 
 /// The global telemetry flags, stripped from the argument list before the
 /// verb dispatch: `--trace <out.json>` writes a Chrome trace-event file,
-/// `--stats` prints the span/counter summary on stderr. Either flag
-/// enables span and counter recording for the whole invocation.
+/// `--stats` prints the span/counter summary as one JSON line on stderr.
+/// Either flag enables span and counter recording for the whole
+/// invocation.
 struct TelemetryOpts {
     trace: Option<String>,
     stats: bool,
@@ -158,17 +161,17 @@ impl TelemetryOpts {
         Ok(Self { trace, stats })
     }
 
-    /// Exports whatever the run recorded. Called on success and on
-    /// failure alike, so a trace of a failing run is still written.
-    fn finish(&self) -> Result<(), DrcshapError> {
+    /// Exports whatever the run recorded, with `metrics`, the snapshot of
+    /// the engine or gateway the verb ran, if any. Called on success and
+    /// on failure alike, so a trace of a failing run is still written.
+    fn finish(&self, metrics: Option<serde_json::Value>) -> Result<(), DrcshapError> {
         if let Some(path) = &self.trace {
             std::fs::write(path, telemetry::hub().chrome_trace())
                 .map_err(|e| DrcshapError::io(path.clone(), e))?;
             eprintln!("wrote Chrome trace to {path}");
         }
         if self.stats {
-            let summary = telemetry::hub().summary();
-            eprintln!("{}", serde_json::to_string_pretty(&summary).expect("summary serialize"));
+            eprintln!("{}", telemetry::hub().stats_line(metrics));
         }
         Ok(())
     }
@@ -194,6 +197,7 @@ fn main() {
 /// over any export error.
 fn run_cli(args: &mut Vec<String>) -> Result<(), DrcshapError> {
     let telem = TelemetryOpts::parse(args)?;
+    let mut metrics = None;
     let result = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("build") => cmd_build(&args[1..]),
@@ -206,12 +210,12 @@ fn run_cli(args: &mut Vec<String>) -> Result<(), DrcshapError> {
         Some("run") => cmd_run(&args[1..]),
         Some("resume") => cmd_resume(&args[1..]),
         Some("analytics") => cmd_analytics(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..], telem.stats),
-        Some("gateway") => cmd_gateway(&args[1..], telem.stats),
+        Some("serve") => cmd_serve(&args[1..]).map(|m| metrics = Some(m)),
+        Some("gateway") => cmd_gateway(&args[1..]).map(|m| metrics = Some(m)),
         Some("testkit") => cmd_testkit(&args[1..]),
         _ => Err(DrcshapError::usage(USAGE)),
     };
-    match (result, telem.finish()) {
+    match (result, telem.finish(metrics)) {
         (Err(e), _) => Err(e),
         (Ok(()), export) => export,
     }
@@ -1124,7 +1128,9 @@ fn serve_config(args: &mut Vec<String>) -> Result<ServeConfig, DrcshapError> {
     })
 }
 
-fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
+/// `drcshap serve <model> [flags]`; returns the engine's final metrics
+/// for the `--stats` document.
+fn cmd_serve(args: &[String]) -> Result<serde_json::Value, DrcshapError> {
     let mut args = args.to_vec();
     let design = take_value(&mut args, "--design")?;
     let scale: f64 = parse_flag(&mut args, "--scale", 0.25)?;
@@ -1144,18 +1150,16 @@ fn cmd_serve(args: &[String], stats: bool) -> Result<(), DrcshapError> {
         Some(name) => serve_design(&engine, &design_spec(&name)?, scale, window)?,
         None => serve_jsonl(&engine, window)?,
     }
-    if stats {
-        let metrics = engine.metrics();
-        eprintln!("{}", serde_json::to_string(&metrics).expect("metrics serialize"));
-    }
+    let metrics = serde_json::to_value(engine.metrics()).expect("metrics serialize");
     engine.shutdown();
-    Ok(())
+    Ok(metrics)
 }
 
 /// `drcshap gateway <model> [flags]` — multi-shard serving behind the
 /// gateway: JSONL requests from stdin, or the same protocol per TCP
-/// connection with `--listen`.
-fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
+/// connection with `--listen`. Returns the gateway's final metrics for
+/// the `--stats` document.
+fn cmd_gateway(args: &[String]) -> Result<serde_json::Value, DrcshapError> {
     let mut args = args.to_vec();
     let listen = take_value(&mut args, "--listen")?;
     let max_conns: u64 = parse_flag(&mut args, "--max-conns", 0)?;
@@ -1208,12 +1212,9 @@ fn cmd_gateway(args: &[String], stats: bool) -> Result<(), DrcshapError> {
             out.flush().map_err(|e| DrcshapError::io("stdout", e))?;
         }
     }
-    if stats {
-        let metrics = gateway.metrics();
-        eprintln!("{}", serde_json::to_string(&metrics).expect("metrics serialize"));
-    }
+    let metrics = serde_json::to_value(gateway.metrics()).expect("metrics serialize");
     gateway.shutdown();
-    Ok(())
+    Ok(metrics)
 }
 
 /// One JSONL request line: either a bare feature array or this object.

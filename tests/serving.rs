@@ -61,9 +61,9 @@ fn artifact_round_trip_serves_bit_identical_scores() {
     assert!(Arc::ptr_eq(&first, &second), "second lookup must hit the cache");
 
     let metrics = engine.metrics();
-    assert!(metrics.samples_scored >= 1);
+    assert!(metrics.counts["serve/samples"] >= 1);
     assert_eq!(metrics.model_epoch, 2);
-    assert_eq!(metrics.cache_hits, 1);
+    assert_eq!(metrics.counts["serve/cache_hits"], 1);
 
     std::fs::remove_dir_all(&dir).ok();
 }
