@@ -23,11 +23,10 @@
 //!   schema fingerprint, model epoch, sketch params), digest-stable wire
 //!   form, with exact [`AnalyticsSnapshot::merge`] for fleet views;
 //! - [`AnalyticsSink`] — the single-owner fold. The serve engine gives
-//!   each model epoch one sink and freezes it into a retained snapshot
-//!   when a hot swap retires the epoch (the drift window);
+//!   each model epoch one sink and drops it when a hot swap retires the
+//!   epoch;
 //! - [`build_report`] — rendered summaries: top-k mean-|φ| ranking,
-//!   beeswarm bins, dependence points, interaction pairs, and top-k
-//!   drift between retained epochs.
+//!   beeswarm bins, dependence points, and interaction pairs.
 //!
 //! Every sketch in this crate is held to an exact full-sort reference by
 //! the testkit `sketch-differential` oracle, and the end-to-end fold is
@@ -54,8 +53,8 @@ pub mod snapshot;
 
 pub use accum::{quantize, FixedSum, QFIX_BITS, QFIX_CLAMP_BITS};
 pub use report::{
-    build_report, drift_between, ranking, AnalyticsReport, BeeswarmBin, DependencePoint,
-    DriftReport, FeatureReport, PairReport, QuantilePoint, RankMove, REPORT_QUANTILES,
+    build_report, ranking, AnalyticsReport, BeeswarmBin, DependencePoint, FeatureReport,
+    PairReport, QuantilePoint, REPORT_QUANTILES,
 };
 pub use sink::{AnalyticsConfig, AnalyticsSink};
 pub use snapshot::{

@@ -1,7 +1,6 @@
 //! Rendering snapshots into the paper's global-explanation surfaces:
 //! top-k mean-|φ| rankings (the summary plot's bar order), beeswarm
-//! payload bins, binned dependence curves, interaction pairs, and
-//! top-k drift across retained epochs.
+//! payload bins, binned dependence curves, and interaction pairs.
 //!
 //! Reports are *derived* views — plain f64s, human-readable — and are
 //! never merged or digested; the exact integer substrate lives in
@@ -96,32 +95,6 @@ pub struct PairReport {
     pub mean: f64,
 }
 
-/// One feature's rank movement between two epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RankMove {
-    /// Feature index.
-    pub feature: u32,
-    /// Rank in the earlier epoch (None = outside its top-k).
-    pub from_rank: Option<u32>,
-    /// Rank in the later epoch (None = outside its top-k).
-    pub to_rank: Option<u32>,
-}
-
-/// Top-k drift between two consecutive epochs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DriftReport {
-    /// Earlier epoch.
-    pub from_epoch: u64,
-    /// Later epoch.
-    pub to_epoch: u64,
-    /// Features that entered the top-k.
-    pub entered: Vec<u32>,
-    /// Features that left the top-k.
-    pub left: Vec<u32>,
-    /// Rank movements over the union of both top-k sets.
-    pub moves: Vec<RankMove>,
-}
-
 /// The full rendered report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalyticsReport {
@@ -141,9 +114,6 @@ pub struct AnalyticsReport {
     pub top: Vec<FeatureReport>,
     /// Top interaction pairs by mean |Φ| (empty unless enabled).
     pub interactions: Vec<PairReport>,
-    /// Drift between consecutive retained epochs, oldest transition
-    /// first, ending at the current snapshot.
-    pub drift: Vec<DriftReport>,
 }
 
 /// All features ranked by descending mean |φ|, ties broken by ascending
@@ -158,54 +128,18 @@ pub fn ranking(snapshot: &AnalyticsSnapshot) -> Vec<u32> {
     order
 }
 
-fn top_k_set(snapshot: &AnalyticsSnapshot, k: usize) -> Vec<u32> {
-    ranking(snapshot).into_iter().take(k).collect()
-}
-
-/// Drift between two epochs' top-k rankings.
-pub fn drift_between(
-    earlier: &AnalyticsSnapshot,
-    later: &AnalyticsSnapshot,
-    k: usize,
-) -> DriftReport {
-    let from = top_k_set(earlier, k);
-    let to = top_k_set(later, k);
-    let entered: Vec<u32> = to.iter().copied().filter(|f| !from.contains(f)).collect();
-    let left: Vec<u32> = from.iter().copied().filter(|f| !to.contains(f)).collect();
-    let mut union: Vec<u32> = from.iter().chain(to.iter()).copied().collect();
-    union.sort_unstable();
-    union.dedup();
-    let moves = union
-        .into_iter()
-        .map(|feature| RankMove {
-            feature,
-            from_rank: from.iter().position(|&f| f == feature).map(|r| r as u32),
-            to_rank: to.iter().position(|&f| f == feature).map(|r| r as u32),
-        })
-        .collect();
-    DriftReport {
-        from_epoch: earlier.provenance.model_epoch,
-        to_epoch: later.provenance.model_epoch,
-        entered,
-        left,
-        moves,
-    }
-}
-
 fn feature_name(names: Option<&[String]>, idx: u32) -> Option<String> {
     names.and_then(|ns| ns.get(idx as usize)).cloned()
 }
 
-/// Renders `snapshot` (plus retained `history` for drift) into a report.
-/// `top_k` bounds both the feature and pair tables; `feature_names`
-/// attaches schema names when available.
+/// Renders `snapshot` into a report. `top_k` bounds both the feature and
+/// pair tables; `feature_names` attaches schema names when available.
 ///
 /// # Errors
 ///
 /// Usage errors when a feature's serialized sketch is corrupt.
 pub fn build_report(
     snapshot: &AnalyticsSnapshot,
-    history: &[AnalyticsSnapshot],
     top_k: usize,
     feature_names: Option<&[String]>,
 ) -> Result<AnalyticsReport, DrcshapError> {
@@ -269,10 +203,6 @@ pub fn build_report(
             mean: p.sum.mean(p.n).unwrap_or(0.0),
         })
         .collect();
-    // Drift chain: history (oldest → newest) then the current snapshot.
-    let mut chain: Vec<&AnalyticsSnapshot> = history.iter().collect();
-    chain.push(snapshot);
-    let drift = chain.windows(2).map(|w| drift_between(w[0], w[1], top_k)).collect();
     Ok(AnalyticsReport {
         provenance: snapshot.provenance,
         digest: snapshot.digest(),
@@ -282,7 +212,6 @@ pub fn build_report(
         stale_folds: snapshot.stale_folds,
         top,
         interactions,
-        drift,
     })
 }
 
@@ -291,23 +220,20 @@ mod tests {
     use super::*;
     use crate::sink::{AnalyticsConfig, AnalyticsSink};
 
-    fn prov(epoch: u64) -> Provenance {
-        Provenance { artifact_crc: 1, schema_fingerprint: 2, model_epoch: epoch }
-    }
+    const PROV: Provenance = Provenance { artifact_crc: 1, schema_fingerprint: 2, model_epoch: 1 };
 
-    fn folded_snapshot(epoch: u64, scale: f64) -> AnalyticsSnapshot {
+    fn folded_snapshot() -> AnalyticsSnapshot {
         let mut sink = AnalyticsSink::new(AnalyticsConfig::default());
         for i in 0..50 {
             let t = i as f64 / 50.0;
-            sink.fold(&[t as f32, (1.0 - t) as f32, 0.5], &[scale * t, 0.2 - scale * t, 0.01])
-                .unwrap();
+            sink.fold(&[t as f32, (1.0 - t) as f32, 0.5], &[0.5 * t, 0.2 - 0.5 * t, 0.01]).unwrap();
         }
-        sink.snapshot(prov(epoch))
+        sink.snapshot(PROV)
     }
 
     #[test]
     fn ranking_is_deterministic_with_index_tiebreak() {
-        let snap = folded_snapshot(1, 0.5);
+        let snap = folded_snapshot();
         let order = ranking(&snap);
         assert_eq!(order.len(), 3);
         // Feature 2 has tiny |φ| — it must rank last.
@@ -316,9 +242,9 @@ mod tests {
 
     #[test]
     fn report_shape_and_provenance() {
-        let snap = folded_snapshot(1, 0.5);
+        let snap = folded_snapshot();
         let names = vec!["pin_density".to_string(), "overflow".to_string(), "via".to_string()];
-        let report = build_report(&snap, &[], 2, Some(&names)).unwrap();
+        let report = build_report(&snap, 2, Some(&names)).unwrap();
         assert_eq!(report.top.len(), 2);
         assert_eq!(report.digest, snap.digest());
         assert_eq!(report.provenance, snap.provenance);
@@ -327,25 +253,9 @@ mod tests {
         assert_eq!(report.top[0].quantiles.len(), REPORT_QUANTILES.len());
         assert!(!report.top[0].beeswarm.is_empty());
         assert!(!report.top[0].dependence.is_empty());
-        assert!(report.drift.is_empty(), "no history ⇒ no drift rows");
         let json = serde_json::to_string(&report).unwrap();
         let back: AnalyticsReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.digest, report.digest);
-    }
-
-    #[test]
-    fn drift_tracks_rank_changes() {
-        // Epoch 1: feature 0 dominates; epoch 2: feature 1 dominates.
-        let a = folded_snapshot(1, 0.9);
-        let b = folded_snapshot(2, -0.9);
-        let d = drift_between(&a, &b, 1);
-        assert_eq!(d.from_epoch, 1);
-        assert_eq!(d.to_epoch, 2);
-        // Some movement must be visible at k=1 (the dominant feature flips
-        // between 0 and 1 across the two scales).
-        let report = build_report(&b, std::slice::from_ref(&a), 1, None).unwrap();
-        assert_eq!(report.drift.len(), 1);
-        assert_eq!(report.drift[0], d);
     }
 
     #[test]
@@ -355,8 +265,8 @@ mod tests {
         for phi in &phis {
             sink.fold(&[1.0, 2.0], phi).unwrap();
         }
-        let snap = sink.snapshot(prov(1));
-        let report = build_report(&snap, &[], 2, None).unwrap();
+        let snap = sink.snapshot(PROV);
+        let report = build_report(&snap, 2, None).unwrap();
         let by_feature: std::collections::BTreeMap<u32, f64> =
             report.top.iter().map(|f| (f.feature, f.mean_abs_phi)).collect();
         let want0 = (0.5 + 0.5 + 0.1) / 3.0;

@@ -6,11 +6,12 @@
 //! emits provenance-stamped [`AnalyticsSnapshot`]s. Every per-feature
 //! statistic is either an exact integer, an exact-merge fixed-point sum,
 //! or a multiset-pure sketch — so folding a stream in any partition and
-//! merging yields bit-identical snapshots.
+//! merging the parts' snapshots ([`AnalyticsSnapshot::merge`]) yields
+//! bit-identical snapshots.
 //!
 //! The serve engine gives each model epoch one sink behind a mutex; a hot
-//! swap retires the old epoch's sink whole into a frozen snapshot, so no
-//! fold is ever blended across models.
+//! swap drops the old epoch's sink, so no fold is ever blended across
+//! models.
 
 use std::collections::BTreeMap;
 
@@ -251,61 +252,6 @@ impl AnalyticsSink {
         self.n_interaction_folds += 1;
     }
 
-    /// Merges another sink folded under the same config (pointwise
-    /// exact, so the merge topology is invisible in the result).
-    ///
-    /// # Errors
-    ///
-    /// Usage errors on config or feature-width mismatch.
-    pub fn merge(&mut self, other: &AnalyticsSink) -> Result<(), DrcshapError> {
-        if self.config != other.config {
-            return Err(DrcshapError::usage("analytics merge: sink configs differ"));
-        }
-        if other.n_features == 0 {
-            return Ok(());
-        }
-        if self.n_features == 0 {
-            *self = other.clone();
-            return Ok(());
-        }
-        if self.n_features != other.n_features {
-            return Err(DrcshapError::usage(format!(
-                "analytics merge: feature width {} vs {}",
-                self.n_features, other.n_features
-            )));
-        }
-        for (mine, theirs) in self.features.iter_mut().zip(&other.features) {
-            mine.count += theirs.count;
-            mine.nan_skipped += theirs.nan_skipped;
-            mine.positive += theirs.positive;
-            mine.sum_phi.merge(&theirs.sum_phi);
-            mine.sum_abs_phi.merge(&theirs.sum_abs_phi);
-            mine.min_phi = mine.min_phi.min(theirs.min_phi);
-            mine.max_phi = mine.max_phi.max(theirs.max_phi);
-            mine.sketch.merge(&theirs.sketch).map_err(DrcshapError::usage)?;
-            for (&bucket, &(n, sum)) in &theirs.dependence {
-                let cell = mine.dependence.entry(bucket).or_default();
-                cell.0 += n;
-                cell.1.merge(&sum);
-            }
-        }
-        for (key, p) in &other.pairs {
-            let slot = self.pairs.entry(*key).or_insert(PairSnapshot {
-                i: p.i,
-                j: p.j,
-                n: 0,
-                sum_abs: FixedSum::zero(),
-                sum: FixedSum::zero(),
-            });
-            slot.n += p.n;
-            slot.sum_abs.merge(&p.sum_abs);
-            slot.sum.merge(&p.sum);
-        }
-        self.n_vectors += other.n_vectors;
-        self.n_interaction_folds += other.n_interaction_folds;
-        Ok(())
-    }
-
     /// Freezes the current state into a provenance-stamped snapshot.
     pub fn snapshot(&self, provenance: Provenance) -> AnalyticsSnapshot {
         let features = self
@@ -380,31 +326,13 @@ mod tests {
         for (i, (x, phi)) in cases.iter().enumerate() {
             parts[i % 5].fold(x, phi).unwrap();
         }
-        let mut merged = AnalyticsSink::new(AnalyticsConfig::default());
+        let mut merged = AnalyticsSink::new(AnalyticsConfig::default()).snapshot(prov(1));
         for k in [4usize, 1, 3, 0, 2] {
-            merged.merge(&parts[k]).unwrap();
+            merged.merge(&parts[k].snapshot(prov(1))).unwrap();
         }
-        let (a, b) = (single.snapshot(prov(1)), merged.snapshot(prov(1)));
-        assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn snapshot_merge_matches_sink_merge() {
-        let mut rng = ChaCha8Rng::seed_from_u64(37);
-        let mut a = AnalyticsSink::new(AnalyticsConfig::default());
-        let mut b = AnalyticsSink::new(AnalyticsConfig::default());
-        for _ in 0..200 {
-            let (x, phi) = random_case(&mut rng, 4);
-            a.fold(&x, &phi).unwrap();
-            let (x, phi) = random_case(&mut rng, 4);
-            b.fold(&x, &phi).unwrap();
-        }
-        let mut via_snapshots = a.snapshot(prov(1));
-        via_snapshots.merge(&b.snapshot(prov(1))).unwrap();
-        let mut via_sinks = a.clone();
-        via_sinks.merge(&b).unwrap();
-        assert_eq!(via_snapshots, via_sinks.snapshot(prov(1)));
+        let single = single.snapshot(prov(1));
+        assert_eq!(single, merged);
+        assert_eq!(single.digest(), merged.digest());
     }
 
     #[test]

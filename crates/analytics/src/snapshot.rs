@@ -21,6 +21,7 @@ use drcshap_ml::DrcshapError;
 use drcshap_telemetry::{BucketEntry, QuantileSketch, SketchParams};
 
 use crate::accum::FixedSum;
+use crate::sink::AnalyticsConfig;
 
 /// Current snapshot schema version (bumped on any wire-format change).
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
@@ -178,6 +179,38 @@ impl AnalyticsSnapshot {
     /// The feature-value bucketing params of the dependence curves.
     pub fn dependence_params(&self) -> SketchParams {
         SketchParams { accuracy_bits: self.params.dependence_bits }
+    }
+
+    /// Checks the shape of a snapshot read from outside the process, before
+    /// it is merged or rendered: the schema version, the params against
+    /// [`AnalyticsConfig::validate`]'s ranges, and one feature aggregate
+    /// per feature.
+    ///
+    /// # Errors
+    ///
+    /// A usage [`DrcshapError`] naming the first violation.
+    pub fn validate(&self) -> Result<(), DrcshapError> {
+        if self.schema_version != SNAPSHOT_SCHEMA_VERSION {
+            return Err(DrcshapError::usage(format!(
+                "analytics snapshot: schema version {} (expected {SNAPSHOT_SCHEMA_VERSION})",
+                self.schema_version
+            )));
+        }
+        AnalyticsConfig {
+            accuracy_bits: self.params.accuracy_bits,
+            dependence_bits: self.params.dependence_bits,
+            interactions: self.params.interactions,
+            max_interaction_features: self.params.max_interaction_features,
+        }
+        .validate()?;
+        if self.features.len() != self.n_features as usize {
+            return Err(DrcshapError::usage(format!(
+                "analytics snapshot: {} feature aggregates for n_features {}",
+                self.features.len(),
+                self.n_features
+            )));
+        }
+        Ok(())
     }
 
     /// Canonical little-endian bytes of everything *except* provenance —
@@ -380,6 +413,21 @@ mod tests {
             stale_folds: 0,
             features: Vec::new(),
             pairs: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_malformed_snapshots() {
+        assert!(empty_snapshot(1).validate().is_ok());
+        let mut version = empty_snapshot(1);
+        version.schema_version += 1;
+        let mut bits = empty_snapshot(1);
+        bits.params.accuracy_bits = 99;
+        let mut width = empty_snapshot(1);
+        width.n_features = 5;
+        for bad in [version, bits, width] {
+            let e = bad.validate().unwrap_err();
+            assert!(matches!(e, DrcshapError::Input(drcshap_ml::InputError::Usage(_))), "{e}");
         }
     }
 

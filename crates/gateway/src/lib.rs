@@ -49,7 +49,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use drcshap_analytics::{merge_fleet, AnalyticsSnapshot, Provenance};
 use drcshap_core::SavedModel;
 use drcshap_forest::RandomForest;
 use drcshap_geom::StageBudget;
@@ -588,23 +587,8 @@ impl Gateway {
         Duration::from_nanos(self.shards[shard].delay_ns.load(Ordering::Relaxed))
     }
 
-    /// SHAP-explains one request on the first available shard of its ring
-    /// order, returning the explanation and the shard that served it
-    /// (shards share the model, but each warms its own cache).
-    ///
-    /// # Errors
-    ///
-    /// [`DrcshapError::Overloaded`] when no shard is available, plus the
-    /// engine's input-validation errors.
-    pub fn explain(&self, request: &Request) -> Result<(Arc<Explanation>, usize), DrcshapError> {
-        let _span = telemetry::span("gateway/explain");
-        let shard = self.explain_shard(request)?;
-        let explanation = self.shards[shard].engine.explain(&request.x)?;
-        Ok((explanation, shard))
-    }
-
     /// The first available shard of `request`'s ring order: the one that
-    /// explains it.
+    /// explains it (shards share the model, but each warms its own cache).
     fn explain_shard(&self, request: &Request) -> Result<usize, DrcshapError> {
         let tenant = request.tenant.as_deref().unwrap_or("default");
         let key = request.key.unwrap_or_else(|| derive_key(tenant, &request.x));
@@ -622,10 +606,11 @@ impl Gateway {
     /// from one loaded epoch ([`ServeEngine::explain_both`]), so the two
     /// views describe the same model even across a hot swap.
     ///
-    /// The abductive side runs under `budget` (tightened to the request's
-    /// deadline when one is set). If the budget runs out the response
-    /// **degrades to SHAP-only** instead of failing: the request is never
-    /// dropped, the shard is never stalled, and the typed
+    /// The abductive side runs under `budget`, tightened to the request's
+    /// deadline or, when it carries none, to
+    /// [`GatewayConfig::default_deadline`]. If the budget runs out the
+    /// response **degrades to SHAP-only** instead of failing: the request
+    /// is never dropped, the shard is never stalled, and the typed
     /// [`DrcshapError::ExplanationTimeout`] detail is carried in
     /// [`BothExplanations::degraded`]. Timeouts are deliberately not
     /// retryable, so no failover cascade amplifies a hard instance across
@@ -644,7 +629,10 @@ impl Gateway {
         let _span = telemetry::span("gateway/explain_both");
         let shard = self.explain_shard(request)?;
         let mut capped = *budget;
-        if let Some(deadline) = request.deadline {
+        let deadline = request
+            .deadline
+            .or_else(|| self.config.default_deadline.and_then(|d| Instant::now().checked_add(d)));
+        if let Some(deadline) = deadline {
             capped.deadline = Some(capped.deadline.map_or(deadline, |d| d.min(deadline)));
         }
         let (shap, abductive) = self.shards[shard].engine.explain_both(&request.x, &capped)?;
@@ -718,35 +706,6 @@ impl Gateway {
             })
             .collect();
         GatewayMetrics { counts: self.counters.counts(), latency: self.latency.quantiles(), shards }
-    }
-
-    /// Merges every shard's analytics snapshot into a fleet view, one
-    /// merged snapshot per distinct provenance (artifact CRC + schema
-    /// fingerprint + model epoch), ordered by ascending epoch. During a
-    /// staged rollout shards legitimately serve different models, so a
-    /// single forced merge would be wrong — callers get one bit-stable
-    /// aggregate per model identity instead. Empty when analytics is
-    /// disabled in the shard engines.
-    #[must_use]
-    pub fn fleet_analytics(&self) -> Vec<AnalyticsSnapshot> {
-        let mut groups: Vec<(Provenance, Vec<AnalyticsSnapshot>)> = Vec::new();
-        for shard in &self.shards {
-            let Some(snapshot) = shard.engine.analytics_snapshot() else { continue };
-            match groups.iter_mut().find(|(p, _)| *p == snapshot.provenance) {
-                Some((_, members)) => members.push(snapshot),
-                None => groups.push((snapshot.provenance, vec![snapshot])),
-            }
-        }
-        groups.sort_by_key(|(p, _)| p.model_epoch);
-        groups
-            .into_iter()
-            .map(|(_, members)| {
-                // Same provenance implies same params (the engines were
-                // built from one ServeConfig), so the merge cannot fail on
-                // anything but a bug — surface that loudly.
-                merge_fleet(&members).expect("same-provenance snapshots must merge")
-            })
-            .collect()
     }
 
     /// Drains every shard engine. Idempotent; also run on drop. Requests

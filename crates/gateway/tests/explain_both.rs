@@ -90,3 +90,21 @@ fn expired_request_deadline_caps_the_abductive_budget() {
     assert!(both.abductive.is_none());
     assert!(both.degraded.is_some());
 }
+
+#[test]
+fn the_default_deadline_caps_the_abductive_budget() {
+    let config = GatewayConfig {
+        shards: 1,
+        serve: ServeConfig { workers: 1, ..Default::default() },
+        default_deadline: Some(std::time::Duration::ZERO),
+        ..Default::default()
+    };
+    let gateway = Gateway::start(config, forest(11), 7).expect("start");
+    // The request carries no deadline of its own, so the gateway's
+    // default, already due, applies and the abductive side degrades.
+    let request = Request::new(vec![0.8f32, 0.2, 0.5]);
+    let both = gateway.explain_both(&request, &XsatBudget::default()).expect("served");
+    assert!(both.abductive.is_none());
+    assert!(both.degraded.is_some());
+    assert_eq!(both.shap.contributions.len(), N_FEATURES);
+}

@@ -8,6 +8,7 @@ use drcshap_forest::{RandomForest, RandomForestTrainer};
 use drcshap_gateway::{Gateway, GatewayConfig, Priority, QuotaConfig, Request};
 use drcshap_ml::{Dataset, DrcshapError, NanPolicy, Trainer};
 use drcshap_serve::ServeConfig;
+use drcshap_xsat::XsatBudget;
 
 const N_FEATURES: usize = 3;
 const FINGERPRINT: u64 = 7;
@@ -174,15 +175,16 @@ fn hedging_beats_a_slow_shard() {
 fn explain_routes_and_validates() {
     let gateway = Gateway::start(quick_config(2), forest(5), FINGERPRINT).expect("start");
     let request = Request::new(probe(1)).tenant("t");
-    let (explanation, shard) = gateway.explain(&request).expect("explained");
-    assert!(explanation.local_accuracy_gap() < 1e-9);
-    assert!(shard < 2);
+    let budget = XsatBudget::default();
+    let both = gateway.explain_both(&request, &budget).expect("explained");
+    assert!(both.shap.local_accuracy_gap() < 1e-9);
+    assert!(both.shard < 2);
     // Same request, same shard: the explanation cache is warmed.
-    let (again, same_shard) = gateway.explain(&request).expect("explained");
-    assert_eq!(shard, same_shard);
-    assert!(std::sync::Arc::ptr_eq(&explanation, &again), "cache hit expected");
+    let again = gateway.explain_both(&request, &budget).expect("explained");
+    assert_eq!(both.shard, again.shard);
+    assert!(std::sync::Arc::ptr_eq(&both.shap, &again.shap), "cache hit expected");
     let bad = Request::new(vec![0.5]);
-    assert!(gateway.explain(&bad).is_err(), "length mismatch surfaces");
+    assert!(gateway.explain_both(&bad, &budget).is_err(), "length mismatch surfaces");
 }
 
 #[test]
@@ -194,53 +196,6 @@ fn shutdown_is_typed_and_sticky() {
     // All engines drain; the fleet answers with a retryable typed error
     // (ShuttingDown from the engines, surfaced after bounded retries).
     assert!(matches!(e, DrcshapError::ShuttingDown | DrcshapError::Overloaded { .. }), "{e}");
-}
-
-#[test]
-fn fleet_analytics_merges_shard_snapshots_bit_stably() {
-    use drcshap_analytics::{AnalyticsConfig, AnalyticsSink};
-
-    let rf = forest(1);
-    let mut config = quick_config(3);
-    config.serve.analytics = Some(AnalyticsConfig::default());
-    let gateway = Gateway::start(config, rf.clone(), FINGERPRINT).expect("start");
-
-    // Spread explanations over the fleet via distinct tenants/probes.
-    let cases: Vec<Vec<f32>> = (0..48).map(probe).collect();
-    let mut reference = AnalyticsSink::new(AnalyticsConfig::default());
-    for (i, x) in cases.iter().enumerate() {
-        let request = Request::new(x.clone()).tenant(format!("t{i}"));
-        gateway.explain(&request).expect("explained");
-        let explanation = drcshap_shap::explain_forest(&rf, x);
-        reference.fold(x, &explanation.contributions).expect("fold");
-    }
-
-    // All shards serve epoch 1 of one artifact: exactly one fleet group,
-    // holding every explained vector, and its digest is bit-identical to
-    // a direct single-threaded fold of the same cases.
-    let fleet = gateway.fleet_analytics();
-    assert_eq!(fleet.len(), 1, "one model identity => one merged snapshot");
-    assert_eq!(fleet[0].n_vectors, 48);
-    assert_eq!(fleet[0].provenance.model_epoch, 1);
-    let want = reference.snapshot(fleet[0].provenance).digest();
-    assert_eq!(fleet[0].digest(), want, "fleet merge differs from direct fold");
-
-    // A rollout moves the fleet to epoch 2; the fleet view resets with
-    // the new provenance (old epochs live in per-engine history).
-    gateway.staged_rollout(forest(2), FINGERPRINT).expect("rollout");
-    let request = Request::new(probe(0)).tenant("t0");
-    gateway.explain(&request).expect("explained post-rollout");
-    let fleet = gateway.fleet_analytics();
-    assert_eq!(fleet.len(), 1);
-    assert_eq!(fleet[0].provenance.model_epoch, 2);
-    assert_eq!(fleet[0].n_vectors, 1, "new epoch starts empty");
-}
-
-#[test]
-fn fleet_analytics_is_empty_when_disabled() {
-    let gateway = Gateway::start(quick_config(2), forest(1), FINGERPRINT).expect("start");
-    gateway.explain(&Request::new(probe(0))).expect("explained");
-    assert!(gateway.fleet_analytics().is_empty());
 }
 
 #[test]

@@ -65,9 +65,6 @@ use drcshap_xsat::{AbductiveEngine, AbductiveExplanation, XsatBudget};
 use crate::metrics::{ServeCounters, ServeMetrics};
 use crate::swap::{EpochCell, ModelEpoch};
 
-/// Retired epochs' analytics snapshots kept in the history.
-const RETAINED_EPOCHS: usize = 4;
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -381,9 +378,6 @@ struct Shared {
     counters: ServeCounters,
     /// Enqueue-to-response latency per scored request, in nanoseconds.
     latency: Latency,
-    /// Retired epochs' analytics snapshots, oldest first, at most
-    /// [`RETAINED_EPOCHS`].
-    history: Mutex<VecDeque<AnalyticsSnapshot>>,
 }
 
 /// The in-process batched inference engine. Cheap to share: all methods
@@ -424,7 +418,6 @@ impl ServeEngine {
             cell,
             counters: ServeCounters::default(),
             latency: Latency::default(),
-            history: Mutex::new(VecDeque::new()),
             config,
         });
         let mut workers = Vec::with_capacity(shared.config.workers);
@@ -658,59 +651,28 @@ impl ServeEngine {
         }
     }
 
-    /// Retained old-epoch analytics snapshots (frozen at each hot swap),
-    /// oldest first — the drift window. Empty when analytics is disabled
-    /// or no swap has happened.
-    pub fn analytics_history(&self) -> Vec<AnalyticsSnapshot> {
-        self.shared
-            .history
-            .lock()
-            .expect("analytics history lock poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Computes a SAT-based abductive explanation (subset-minimal
-    /// sufficient reason plus contrastive dual) for one sample, within a
-    /// per-request `budget`. The serving epoch encodes its forest into a
-    /// SAT engine on its first abductive call and keeps it, with the
-    /// clauses it learns, for the rest of the epoch.
-    ///
-    /// This runs on the *caller's* thread behind the epoch's own lock —
-    /// the scoring worker pool and the batching queue are never involved,
-    /// so an expensive (or timed-out) explanation can never stall a shard.
-    /// Non-finite inputs follow the same policy as [`ServeEngine::explain`]
-    /// (reject or zero-impute), keeping the SHAP and abductive views of a
-    /// request consistent.
-    ///
-    /// # Errors
-    ///
-    /// [`InputError::LengthMismatch`] / [`InputError::NonFinite`] from
-    /// validation; [`DrcshapError::ExplanationTimeout`] when `budget` is
-    /// exhausted (callers degrade to SHAP-only — see
-    /// `drcshap-gateway`'s `explain_both`); [`DrcshapError::Xsat`] for
-    /// encoding invariant violations.
-    pub fn explain_abductive(
-        &self,
-        x: &[f32],
-        budget: &XsatBudget,
-    ) -> Result<AbductiveExplanation, DrcshapError> {
-        let model = self.shared.cell.load();
-        let key = self.admit(&model, x)?;
-        self.abductive_on(&model, &key, budget)
-    }
-
     /// Both explanation views of one sample from one loaded epoch, so the
-    /// SHAP attributions and the abductive explanation describe the same
-    /// forest even across a concurrent swap. Counts as one
-    /// [`ServeEngine::explain`] plus one [`ServeEngine::explain_abductive`].
+    /// SHAP attributions and the abductive explanation (subset-minimal
+    /// sufficient reason plus contrastive dual) describe the same forest
+    /// even across a concurrent swap. Counts as one
+    /// [`ServeEngine::explain`] plus one `serve/abductive`.
+    ///
+    /// The abductive side runs within `budget` on the *caller's* thread,
+    /// behind the epoch's own lock: the scoring worker pool and the
+    /// batching queue are never involved, so an expensive (or timed-out)
+    /// explanation can never stall a shard. Each epoch encodes its forest
+    /// into one SAT engine on its first abductive call and keeps it, with
+    /// the clauses it learns, for the rest of the epoch. Non-finite inputs
+    /// follow the same policy as [`ServeEngine::explain`] (reject or
+    /// zero-impute), keeping the two views of a request consistent.
     ///
     /// # Errors
     ///
     /// The admission errors of [`ServeEngine::explain`]. The abductive
-    /// outcome, a timeout included, is the second element for the caller
-    /// to degrade on.
+    /// outcome is the second element for the caller to degrade on:
+    /// [`DrcshapError::ExplanationTimeout`] when `budget` is exhausted
+    /// (see `drcshap-gateway`'s `explain_both`), [`DrcshapError::Xsat`]
+    /// for encoding invariant violations.
     pub fn explain_both(
         &self,
         x: &[f32],
@@ -745,10 +707,9 @@ impl ServeEngine {
 
     /// Hot-swaps the serving model (see [`EpochCell::swap`]): the next
     /// epoch starts with an empty cache, no SAT engine and, when analytics
-    /// is mounted, an empty sink. The old epoch's sink is then frozen into
-    /// a retained snapshot stamped with the old provenance; an explain on
-    /// the old epoch that folds after that is dropped from analytics and
-    /// counted, never blended across models.
+    /// is mounted, an empty sink. The old epoch's sink is then dropped; an
+    /// explain on the old epoch that folds after that is dropped from
+    /// analytics and counted, never blended across models.
     ///
     /// # Errors
     ///
@@ -757,26 +718,10 @@ impl ServeEngine {
     pub fn swap(&self, forest: RandomForest, fingerprint: u64) -> Result<u64, DrcshapError> {
         let old = self.shared.cell.swap(forest, fingerprint)?;
         self.shared.counters.swaps.add(1);
-        let stale = self.shared.counters.analytics_stale_folds.get();
-        if let Some(frozen) = old.analytics.as_ref().and_then(|a| a.retire(stale)) {
-            let mut history = self.shared.history.lock().expect("analytics history lock poisoned");
-            history.push_back(frozen);
-            if history.len() > RETAINED_EPOCHS {
-                history.pop_front();
-            }
+        if let Some(analytics) = &old.analytics {
+            analytics.retire();
         }
         Ok(old.epoch + 1)
-    }
-
-    /// [`ServeEngine::swap`] from a loaded artifact model; non-RF models
-    /// are rejected with a usage error.
-    ///
-    /// # Errors
-    ///
-    /// Every [`ServeEngine::swap`] error, plus a usage error for a non-RF
-    /// model.
-    pub fn swap_saved(&self, model: SavedModel, fingerprint: u64) -> Result<u64, DrcshapError> {
-        self.swap(model.into_forest()?, fingerprint)
     }
 
     /// Snapshots the serving metrics.
@@ -964,11 +909,14 @@ mod tests {
         let rf = forest(4);
         let engine = ServeEngine::start(quick_config(), rf.clone(), 7).expect("start");
         let x = [0.8f32, 0.3];
-        let ex = engine.explain_abductive(&x, &XsatBudget::default()).expect("explains");
+        let abductive = |engine: &ServeEngine, budget: &XsatBudget| {
+            engine.explain_both(&x, budget).expect("admitted").1
+        };
+        let ex = abductive(&engine, &XsatBudget::default()).expect("explains");
         assert_eq!(ex.predicted_hotspot, drcshap_xsat::forest_vote(&rf, &x));
         assert!(!ex.sufficient.is_empty() || ex.contrastive.is_empty());
         // A second call reuses the cached encoding (same epoch).
-        let again = engine.explain_abductive(&x, &XsatBudget::default()).expect("explains");
+        let again = abductive(&engine, &XsatBudget::default()).expect("explains");
         assert_eq!(again.sufficient, ex.sufficient);
         let counts = engine.metrics().counts;
         assert_eq!(counts["serve/abductive"], 2);
@@ -977,7 +925,7 @@ mod tests {
         // call and explains the *new* model.
         let rf2 = forest(40);
         engine.swap(rf2.clone(), 7).expect("swap");
-        let ex2 = engine.explain_abductive(&x, &XsatBudget::default()).expect("explains");
+        let ex2 = abductive(&engine, &XsatBudget::default()).expect("explains");
         assert_eq!(ex2.predicted_hotspot, drcshap_xsat::forest_vote(&rf2, &x));
     }
 
@@ -991,7 +939,6 @@ mod tests {
         assert_ne!(phi, phi2, "the two models must explain the probe differently");
         let engine = ServeEngine::start(config, rf, 7).expect("start");
         engine.explain(&x).expect("explains");
-        let before = engine.analytics_snapshot().expect("mounted");
         // An explain that loaded epoch 1 and misses its cache only after
         // the swap to epoch 2.
         let old = engine.model();
@@ -1003,9 +950,6 @@ mod tests {
             counts["serve/analytics_stale_folds"], 1,
             "the late fold is dropped and counted"
         );
-        let history = engine.analytics_history();
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].digest(), before.digest(), "the retired epoch stays frozen");
         let now = engine.analytics_snapshot().expect("mounted");
         assert_eq!((now.n_vectors, now.stale_folds), (0, 1));
         // Nor does the late answer reach the new epoch's cache.
@@ -1013,29 +957,20 @@ mod tests {
     }
 
     #[test]
-    fn history_keeps_the_last_four_retired_epochs() {
-        let config = ServeConfig { analytics: Some(AnalyticsConfig::default()), ..quick_config() };
-        let engine = ServeEngine::start(config, forest(1), 7).expect("start");
-        for seed in 2..8 {
-            engine.swap(forest(seed), 7).expect("swap");
-        }
-        let epochs: Vec<u64> =
-            engine.analytics_history().iter().map(|s| s.provenance.model_epoch).collect();
-        assert_eq!(epochs, [3, 4, 5, 6]);
-    }
-
-    #[test]
     fn abductive_timeout_is_typed_and_never_stalls() {
         let engine = ServeEngine::start(quick_config(), forest(5), 7).expect("start");
         let zero = XsatBudget::conflicts(0);
-        let e = engine.explain_abductive(&[0.5, 0.5], &zero).unwrap_err();
+        let (_, abductive) = engine.explain_both(&[0.5, 0.5], &zero).expect("admitted");
+        let e = abductive.unwrap_err();
         assert!(matches!(e, DrcshapError::ExplanationTimeout { .. }), "{e}");
         assert!(!e.is_retryable(), "timeouts must not trigger failover retries");
         // The engine keeps serving: scoring and SHAP still answer, and a
         // roomier budget succeeds on the same (cached) encoding.
         engine.score(vec![0.5, 0.5]).expect("scoring unaffected");
         engine.explain(&[0.5, 0.5]).expect("shap unaffected");
-        engine.explain_abductive(&[0.5, 0.5], &XsatBudget::default()).expect("recovers");
+        let (_, abductive) =
+            engine.explain_both(&[0.5, 0.5], &XsatBudget::default()).expect("admitted");
+        abductive.expect("recovers");
         let counts = engine.metrics().counts;
         assert_eq!(counts["serve/abductive_timeouts"], 1);
         assert_eq!(counts["serve/abductive"], 2);
@@ -1072,7 +1007,7 @@ mod tests {
                 let errors = [
                     engine.explain(row).unwrap_err(),
                     engine.explain_interactions(row).unwrap_err(),
-                    engine.explain_abductive(row, &budget).unwrap_err(),
+                    engine.explain_both(row, &budget).unwrap_err(),
                 ];
                 for e in errors {
                     assert_eq!(format!("{e:?}"), want, "{policy:?} {row:?}");
@@ -1088,7 +1023,8 @@ mod tests {
             assert_eq!(shap.contributions, explain_forest(&rf, &imputed).contributions);
             let iv = engine.explain_interactions(&nan_row).expect("explains");
             assert_eq!(iv, forest_shap_interactions(&rf, &imputed), "{policy:?}");
-            let abductive = engine.explain_abductive(&nan_row, &budget).expect("explains");
+            let abductive = engine.explain_both(&nan_row, &budget).expect("admitted").1;
+            let abductive = abductive.expect("explains");
             assert_eq!(abductive.sufficient, want_abductive.sufficient, "{policy:?}");
             assert_eq!(abductive.contrastive, want_abductive.contrastive, "{policy:?}");
         }

@@ -127,21 +127,16 @@ impl EpochAnalytics {
     /// epoch is retired.
     pub(crate) fn snapshot(&self, stale_folds: u64) -> Option<AnalyticsSnapshot> {
         let sink = self.sink.lock().expect("analytics sink lock poisoned");
-        sink.as_ref().map(|sink| self.stamp(sink, stale_folds))
+        sink.as_ref().map(|sink| {
+            let mut snapshot = sink.snapshot(self.provenance);
+            snapshot.stale_folds = stale_folds;
+            snapshot
+        })
     }
 
-    /// Takes the sink and freezes it into a snapshot reporting
-    /// `stale_folds`; every later fold on this epoch is dropped. `None`
-    /// when the epoch was already retired.
-    pub(crate) fn retire(&self, stale_folds: u64) -> Option<AnalyticsSnapshot> {
-        let sink = self.sink.lock().expect("analytics sink lock poisoned").take()?;
-        Some(self.stamp(&sink, stale_folds))
-    }
-
-    fn stamp(&self, sink: &AnalyticsSink, stale_folds: u64) -> AnalyticsSnapshot {
-        let mut snapshot = sink.snapshot(self.provenance);
-        snapshot.stale_folds = stale_folds;
-        snapshot
+    /// Drops the sink; every later fold on this epoch is dropped too.
+    pub(crate) fn retire(&self) {
+        self.sink.lock().expect("analytics sink lock poisoned").take();
     }
 }
 

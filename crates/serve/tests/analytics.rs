@@ -1,6 +1,6 @@
 //! Serve-path analytics: the engine's mounted sink must produce
 //! bit-identical snapshot digests regardless of worker/client
-//! parallelism, freeze the old epoch on hot swap (new epoch starts
+//! parallelism, stop folding the old epoch on hot swap (new epoch starts
 //! empty), and keep the explain path entirely unaffected when disabled.
 
 use std::sync::Arc;
@@ -111,9 +111,8 @@ fn cache_hits_still_fold() {
     assert_eq!(counts["serve/analytics_folds"], 2);
 }
 
-/// Hot swap freezes the old epoch (snapshot retained, provenance of the
-/// old model) and starts the new epoch empty; provenance tracks the new
-/// artifact.
+/// Hot swap retires the old epoch's sink and starts the new epoch empty;
+/// provenance tracks the new artifact.
 #[test]
 fn hot_swap_freezes_old_epoch_and_starts_empty() {
     let engine = ServeEngine::start(config_with_analytics(1), forest(3), 7).expect("start");
@@ -126,14 +125,6 @@ fn hot_swap_freezes_old_epoch_and_starts_empty() {
     assert_eq!(before.provenance.model_epoch, 1);
 
     engine.swap(forest(9), 7).expect("swap");
-
-    // The old epoch is frozen in history, bit-identical to the pre-swap
-    // snapshot (stale_folds may differ only if an explain raced the swap;
-    // none is in flight here).
-    let history = engine.analytics_history();
-    assert_eq!(history.len(), 1);
-    assert_eq!(history[0].digest(), before.digest(), "frozen epoch must not change");
-    assert_eq!(history[0].provenance, before.provenance);
 
     // The new epoch starts empty, with new provenance.
     let after = engine.analytics_snapshot().expect("mounted");
@@ -148,18 +139,16 @@ fn hot_swap_freezes_old_epoch_and_starts_empty() {
     engine.explain(&cases[0]).expect("explain after swap");
     let after2 = engine.analytics_snapshot().expect("mounted");
     assert_eq!(after2.n_vectors, 1);
-    assert_eq!(engine.analytics_history()[0].n_vectors, 12, "history is frozen");
 }
 
 /// With analytics disabled (the default), the new surface is inert:
-/// no snapshot, no history, no fold counters.
+/// no snapshot, no fold counters.
 #[test]
 fn disabled_analytics_is_inert() {
     let engine = ServeEngine::start(ServeConfig { workers: 1, ..Default::default() }, forest(3), 7)
         .expect("start");
     engine.explain(&probes(1)[0]).expect("explain");
     assert!(engine.analytics_snapshot().is_none());
-    assert!(engine.analytics_history().is_empty());
     let counts = engine.metrics().counts;
     assert_eq!(counts["serve/analytics_folds"], 0);
     assert_eq!(counts["serve/analytics_stale_folds"], 0);

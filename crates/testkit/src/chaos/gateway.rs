@@ -156,6 +156,11 @@ struct ClientOutcome {
 
 const TENANTS: [&str; 3] = ["alpha", "beta", "gamma"];
 
+/// How long a client waits after an overload shed before it sends again.
+/// It bounds the soak's sheds at `clients / SHED_BACKOFF` per second, well
+/// below the traffic the quota admits, so most requests reach a shard.
+const SHED_BACKOFF: Duration = Duration::from_millis(10);
+
 fn client_loop(
     id: usize,
     seed: u64,
@@ -219,7 +224,10 @@ fn client_loop(
                     }
                 }
             }
-            Err(DrcshapError::Overloaded { .. }) => out.overloads += 1,
+            Err(DrcshapError::Overloaded { .. }) => {
+                out.overloads += 1;
+                std::thread::sleep(SHED_BACKOFF);
+            }
             Err(DrcshapError::DeadlineExceeded { shard_untouched }) => {
                 if pre_expired && !shard_untouched {
                     return Err(format!(
@@ -271,9 +279,10 @@ pub fn gateway_chaos_soak(
             cache_capacity: 64,
             analytics: None,
         },
-        // Tight quotas make sustained client pressure trip the typed
-        // admission shed path — the overload burst, by construction.
-        quota: Some(QuotaConfig { burst: 400.0, refill_per_sec: 200.0 }),
+        // Quotas below what the clients can send make sustained pressure
+        // trip the typed admission shed path — the overload burst, by
+        // construction — while admitting thousands of requests a second.
+        quota: Some(QuotaConfig { burst: 400.0, refill_per_sec: 2000.0 }),
         default_deadline: Some(Duration::from_millis(250)),
         hedge_after: Some(Duration::from_millis(3)),
         ..GatewayConfig::default()
@@ -503,7 +512,7 @@ mod tests {
         };
         let report = gateway_chaos_soak(5, &config).expect("soak must hold its invariants");
         // Sustained pressure from 4 clients against a 400-token burst and
-        // 200/s refill must trip the typed admission shed path.
+        // 2000/s refill must trip the typed admission shed path.
         assert!(report.overloads > 0, "no quota shed in {report}");
         assert_eq!(report.validated, report.responses);
         assert_eq!(report.transient_errors, 0, "no kills, so no transients: {report}");

@@ -663,11 +663,11 @@ fn read_case_rows(path: &str, expected: usize) -> Result<Vec<(usize, Vec<f32>)>,
 /// mergeable wire form, digest included) for later offline use.
 ///
 /// Snapshot mode — `--snapshot <file>` (repeatable) `[--top <k>] [--out
-/// <merged.json>]` — loads saved snapshots, merges them (bit-stable:
-/// any merge order yields the same digest; snapshots from different
-/// models or sketch params are a usage error), and renders the same
-/// report. This is how per-shard or per-host snapshots become a fleet
-/// view offline.
+/// <merged.json>]` — loads saved snapshots, checks each one's shape
+/// ([`AnalyticsSnapshot::validate`]), merges them (bit-stable: any merge
+/// order yields the same digest; snapshots from different models or
+/// sketch params are a usage error), and renders the same report. This
+/// is how per-shard or per-host snapshots become a fleet view offline.
 fn cmd_analytics(args: &[String]) -> Result<(), DrcshapError> {
     use drcshap::analytics::{build_report, merge_fleet, AnalyticsConfig, AnalyticsSnapshot};
 
@@ -704,6 +704,10 @@ fn cmd_analytics(args: &[String]) -> Result<(), DrcshapError> {
                     std::fs::read_to_string(path).map_err(|e| DrcshapError::io(path.clone(), e))?;
                 let snapshot: AnalyticsSnapshot = serde_json::from_str(&text).map_err(|e| {
                     DrcshapError::usage(format!("{path}: not an analytics snapshot: {e}"))
+                })?;
+                snapshot.validate().map_err(|e| match e {
+                    DrcshapError::Input(why) => DrcshapError::usage(format!("{path}: {why}")),
+                    other => other,
                 })?;
                 snapshots.push(snapshot);
             }
@@ -754,7 +758,7 @@ fn cmd_analytics(args: &[String]) -> Result<(), DrcshapError> {
     };
 
     let report_names = (snapshot.n_features as usize == names.len()).then_some(names.as_slice());
-    let report = build_report(&snapshot, &[], top, report_names)?;
+    let report = build_report(&snapshot, top, report_names)?;
     println!("{}", serde_json::to_string(&report).expect("report serializes"));
     if let Some(path) = out {
         let text = serde_json::to_string(&snapshot).expect("snapshot serializes");

@@ -36,9 +36,9 @@
 //! - [`analytics`] — streaming explanation analytics: deterministic
 //!   mergeable per-feature quantile sketches (fixed error bound ε,
 //!   bit-stable digests under any fold/merge topology), signed-importance
-//!   accumulators, beeswarm payload bins, binned dependence curves,
-//!   interaction-pair aggregation and top-k drift across model epochs,
-//!   every snapshot stamped with provenance;
+//!   accumulators, beeswarm payload bins, binned dependence curves and
+//!   interaction-pair aggregation, every snapshot stamped with
+//!   provenance;
 //! - [`xsat`] — SAT-based abductive explanations served next to SHAP: a
 //!   self-contained CDCL solver, a CNF encoding of a trained forest's
 //!   decision paths and majority vote, and an engine computing

@@ -47,7 +47,8 @@ fn artifact_round_trip_serves_bit_identical_scores() {
 
     // Hot-swap the same artifact back in: epoch bumps, scores unchanged.
     let reloaded = load_model(&path, &schema).expect("reload");
-    let epoch = engine.swap_saved(reloaded, schema.fingerprint()).expect("swap");
+    let forest = reloaded.into_forest().expect("an RF artifact");
+    let epoch = engine.swap(forest, schema.fingerprint()).expect("swap");
     assert_eq!(epoch, 2);
     let row = bundle.features.row(0);
     let response = engine.score(row.to_vec()).expect("scored after swap");
